@@ -10,6 +10,10 @@ as the reproduction report.
 
 from __future__ import annotations
 
+import statistics
+import time
+from typing import Callable
+
 import pytest
 
 from repro.core.config import MixerDesign
@@ -27,6 +31,28 @@ def record_comparison(experiment: str, quantity: str, paper, measured) -> None:
         return str(value)
 
     _REPORT_ROWS.append((experiment, quantity, fmt(paper), fmt(measured)))
+
+
+def median_pair_ratio(slow: Callable[[], object], fast: Callable[[], object],
+                      pairs: int = 9) -> tuple[float, float, float]:
+    """Speedup of ``fast`` over ``slow`` from interleaved timing pairs.
+
+    Each pair times one ``slow`` and one ``fast`` call back to back, so a
+    burst of load on a shared host hits both sides of that pair; the median
+    of the per-pair ratios then discards the pairs a burst split.  Returns
+    ``(median ratio, median slow s, median fast s)``.
+    """
+    ratios, slow_times, fast_times = [], [], []
+    for _ in range(pairs):
+        start = time.perf_counter()
+        slow()
+        slow_times.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        fast()
+        fast_times.append(time.perf_counter() - start)
+        ratios.append(slow_times[-1] / fast_times[-1])
+    return (statistics.median(ratios), statistics.median(slow_times),
+            statistics.median(fast_times))
 
 
 @pytest.fixture(scope="session")

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,8 +43,10 @@ from repro.core.load import TransmissionGateLoad
 from repro.core.switches import PmosSwitch
 from repro.core.switching_quad import LoDrive, SwitchingQuad
 from repro.core.tia import TransimpedanceAmplifier
-from repro.core.transconductance import TransconductanceAmplifier
-from repro.devices.mosfet import Mosfet
+from repro.core.transconductance import (
+    TransconductanceAmplifier,
+    seed_gm_stages,
+)
 from repro.rf.conversion_gain import SWITCHING_FACTOR
 from repro.rf.filters import FirstOrderLowPass
 from repro.rf.noise_figure import nf_with_flicker, noise_figure_from_factor
@@ -144,6 +146,21 @@ class MixerSpecs:
         }
 
 
+def seed_gm_widths(mixers: Sequence[ReconfigurableMixer], widths) -> None:
+    """Install a batched width solve on a block of mixers (batched sizing).
+
+    ``widths`` holds one :func:`~repro.core.transconductance.solve_widths`
+    element per mixer.  One :func:`~repro.core.transconductance.\
+seed_gm_stages` array pass then seeds, for both TCA configurations of every
+    mixer, the sized device, the bias point and the Taylor memo — exactly the
+    state the lazy scalar solves would have left behind, so the per-cell
+    spec intermediates that follow do no device solves at all.
+    """
+    stages = [stage for mixer in mixers
+              for stage in (mixer._tca_active, mixer._tca_passive)]
+    seed_gm_stages(stages, np.repeat(np.asarray(widths, dtype=float), 2))
+
+
 class ReconfigurableMixer:
     """The paper's mode-switchable down-conversion mixer."""
 
@@ -194,9 +211,10 @@ class ReconfigurableMixer:
 
     @cached_property
     def _tca_passive(self) -> TransconductanceAmplifier:
-        return TransconductanceAmplifier(
-            self.design,
-            degeneration_resistance=self.design.degeneration_resistance)
+        # Shares the active stage's sized device and bias point: one width
+        # and bias solve per mixer, whichever mode needs it first.
+        return self._tca_active.with_degeneration(
+            self.design.degeneration_resistance)
 
     @property
     def transconductor(self) -> TransconductanceAmplifier:
@@ -205,22 +223,8 @@ class ReconfigurableMixer:
             else self._tca_passive
 
     def gm_device_sized(self) -> bool:
-        """Whether both TCA configurations already hold a solved Gm device."""
-        return self._tca_active.device_sized and self._tca_passive.device_sized
-
-    def seed_gm_width(self, width: float) -> None:
-        """Install an externally solved Gm-device width (batched sizing).
-
-        The width solve depends only on the design record — not on the mode
-        or the degeneration — so one :func:`~repro.core.transconductance.\
-solve_widths` element seeds both TCA configurations with one shared
-        (immutable) device instance, exactly the device each lazy scalar
-        solve would have produced.
-        """
-        device = Mosfet.nmos(float(width), self.design.gm_device_length,
-                             self.design.technology)
-        self._tca_active.seed_device(device)
-        self._tca_passive.seed_device(device)
+        """Whether the (shared) Gm device is already solved — no solve."""
+        return self._tca_active.device_sized
 
     @cached_property
     def switching_quad(self) -> SwitchingQuad:

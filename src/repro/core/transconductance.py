@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +41,16 @@ _SIZING_SOLVES = 0
 #: a whole design block, so the batched counter grows by 1 where
 #: ``_SIZING_SOLVES`` grows by the block length.
 _BATCHED_SIZING_SOLVES = 0
+
+#: Gate excursion (V) of the Taylor expansion behind every linearity spec;
+#: the default :meth:`TransconductanceAmplifier.taylor_coefficients` step
+#: and the memo key :func:`seed_gm_stages` fills.
+TAYLOR_DELTA = 1e-3
+
+#: The damped fixed-point solve of a degenerated bias point: iteration cap
+#: and the current step (A) below which it counts as converged.
+_FIXED_POINT_STEPS = 60
+_FIXED_POINT_TOLERANCE = 1e-15
 
 
 def sizing_solve_count() -> int:
@@ -93,13 +102,15 @@ def solve_widths(designs: Sequence[MixerDesign],
     bias = np.array([r.tca_bias_current / 2.0 for r in records], dtype=float)
     vds = np.array([r.technology.mid_rail for r in records], dtype=float)
 
-    def gm_at_widths(widths: np.ndarray) -> np.ndarray:
-        bank = MosfetArray.nmos(widths, lengths, technologies)
-        vgs = bank.vgs_for_current(bias, vds)
-        return bank.operating_point(vgs, vds).gm
-
     lo = np.full(len(records), 2e-6)
     hi = np.full(len(records), 2000e-6)
+    bank = MosfetArray.nmos(hi, lengths, technologies)
+
+    def gm_at_widths(widths: np.ndarray) -> np.ndarray:
+        sized = bank.with_widths(widths)
+        vgs = sized.vgs_for_current(bias, vds)
+        return sized.operating_point(vgs, vds).gm
+
     unreachable = gm_at_widths(hi) < targets
     if np.any(unreachable):
         def name(index: int) -> str:
@@ -120,6 +131,96 @@ def solve_widths(designs: Sequence[MixerDesign],
     _SIZING_SOLVES += len(records)
     _BATCHED_SIZING_SOLVES += 1
     return np.sqrt(lo * hi)
+
+
+def seed_gm_stages(stages: Sequence[TransconductanceAmplifier],
+                   widths) -> None:
+    """Seed a block of Gm stages from solved widths in one array pass.
+
+    The array twin of the lazy per-stage chain ``device`` ->
+    :attr:`~TransconductanceAmplifier.bias_point` ->
+    :meth:`~TransconductanceAmplifier.taylor_coefficients`: one
+    :class:`~repro.devices.mosfet.MosfetArray` bias solve and operating
+    point at ``widths`` (one per stage, normally a :func:`solve_widths`
+    result), then the five-point Taylor expansion of every stage at once
+    (:func:`_taylor_block`).  Each element follows the scalar operation
+    sequence, so every seeded device, bias point and memo entry (at
+    :data:`TAYLOR_DELTA`) is **bit-identical** to what the lazy scalar path
+    computes.  A stage whose degenerated fixed point does not converge keeps
+    an empty Taylor memo: its lazy solve then raises the scalar path's
+    ``RuntimeError`` at that cell, exactly as without seeding.
+    """
+    stages = list(stages)
+    widths = np.asarray(widths, dtype=float)
+    if widths.shape != (len(stages),):
+        raise ValueError(
+            f"got {widths.size} widths for {len(stages)} Gm stages")
+    designs = [stage.design for stage in stages]
+    lengths = np.array([d.gm_device_length for d in designs], dtype=float)
+    technologies = [d.technology for d in designs]
+    bias = np.array([stage._bias_per_side for stage in stages], dtype=float)
+    vds = np.array([t.mid_rail for t in technologies], dtype=float)
+    r_s = np.array([stage.degeneration_resistance for stage in stages],
+                   dtype=float)
+
+    bank = MosfetArray.nmos(widths, lengths, technologies)
+    op = bank.operating_point(bank.vgs_for_current(bias, vds), vds)
+    coefficients, converged = _taylor_block(bank, op.vgs, vds, r_s)
+    for index, (stage, region) in enumerate(zip(stages, op.regions)):
+        bias_point = MosfetOperatingPoint(
+            id=float(op.id[index]), gm=float(op.gm[index]),
+            gds=float(op.gds[index]), region=region,
+            vgs=float(op.vgs[index]), vds=float(op.vds[index]),
+            vov=float(op.vov[index]))
+        taylor = TaylorCoefficients(*map(float, coefficients[:, index])) \
+            if converged[index] else None
+        stage._seed(bank.element(index), bias_point, taylor)
+
+
+def _taylor_block(bank: MosfetArray, vgs0: np.ndarray, vds: np.ndarray,
+                  r_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Five-point Taylor expansion of every bank element at once.
+
+    Returns ``(coefficients, converged)``: a ``(3, n)`` array of g1/g2/g3
+    rows and a per-element flag.  The array twin of
+    :meth:`TransconductanceAmplifier._compute_taylor_coefficients`: the
+    undegenerated currents are one evaluation, and the degenerated ones run
+    the damped fixed point for every (element, excursion) pair together,
+    each freezing the step its own scalar loop would have returned at.
+    """
+    delta = TAYLOR_DELTA
+    excursions = (0.0, delta, -delta, 2.0 * delta, -2.0 * delta)
+    count = len(bank)
+    points = len(excursions)
+    owner = np.repeat(np.arange(count), points)
+    # Row-major (element, excursion) layout: column k of the reshaped
+    # result is the current at excursions[k].
+    points_bank = MosfetArray.nmos(
+        bank.width[owner], bank.length[owner],
+        [bank.technologies[i] for i in owner])
+    gate = (vgs0[:, None] + np.array(excursions)).ravel()
+    vds = vds[owner]
+    r_s = r_s[owner]
+
+    current = points_bank.drain_current(gate, vds)
+    pending = r_s != 0.0
+    solved = current.copy()
+    with np.errstate(invalid="ignore", over="ignore"):
+        for _ in range(_FIXED_POINT_STEPS):
+            if not pending.any():
+                break
+            step = points_bank.drain_current(gate - current * r_s, vds)
+            done = pending & (np.abs(step - current) < _FIXED_POINT_TOLERANCE)
+            solved = np.where(done, step, solved)
+            pending = pending & ~done
+            current = np.where(pending, 0.5 * (current + step), current)
+    i0, ip1, im1, ip2, im2 = solved.reshape(count, points).T
+    g1 = (ip1 - im1) / (2.0 * delta)
+    g2 = (ip1 - 2.0 * i0 + im1) / (2.0 * delta ** 2)
+    third_derivative = (ip2 - 2.0 * ip1 + 2.0 * im1 - im2) / (2.0 * delta ** 3)
+    g3 = third_derivative / 6.0
+    converged = ~pending.reshape(count, points).any(axis=1)
+    return np.stack([g1, g2, g3]), converged
 
 
 @dataclass(frozen=True)
@@ -147,6 +248,20 @@ class TaylorCoefficients:
         return float(dbm_from_vpeak(amplitude, impedance))
 
 
+class _GmSolution:
+    """The sized Gm device and its bias point, once solved.
+
+    Shared by every degeneration of one design's Gm stage (see
+    :meth:`TransconductanceAmplifier.with_degeneration`).
+    """
+
+    __slots__ = ("device", "bias_point")
+
+    def __init__(self) -> None:
+        self.device: Mosfet | None = None
+        self.bias_point: MosfetOperatingPoint | None = None
+
+
 class TransconductanceAmplifier:
     """Behavioural model of the TCA / active-mode Gm stage.
 
@@ -168,34 +283,56 @@ class TransconductanceAmplifier:
         self.technology: Technology = design.technology
         self._bias_per_side = design.tca_bias_current / 2.0
         self._taylor_cache: dict[float, TaylorCoefficients] = {}
+        self._solution = _GmSolution()
+
+    def with_degeneration(self, degeneration_resistance: float
+                          ) -> "TransconductanceAmplifier":
+        """This Gm stage at another source degeneration.
+
+        The width and bias solves depend only on the design record — length,
+        target gm, bias current, technology — never on the degeneration, so
+        the returned stage shares this one's sized device and bias point:
+        whichever of the two needs them first solves them for both.
+        """
+        stage = TransconductanceAmplifier(self.design, degeneration_resistance)
+        stage._solution = self._solution
+        return stage
 
     # -- device sizing --------------------------------------------------------
 
-    @cached_property
+    @property
     def device(self) -> Mosfet:
         """The Gm MOSFET, sized so the target gm is met at the bias current."""
-        return self._size_device()
+        solution = self._solution
+        if solution.device is None:
+            solution.device = self._size_device()
+        return solution.device
 
     @property
     def device_sized(self) -> bool:
         """Whether the Gm device is already solved (or seeded) — no solve."""
-        return "device" in self.__dict__
+        return self._solution.device is not None
 
     def seed_device(self, device: Mosfet) -> None:
         """Install an externally solved Gm device (the batched sizing path).
 
-        The width solve depends only on the design record — length, target
-        gm, bias current, technology — never on the degeneration, so one
-        :func:`solve_widths` result seeds every TCA configuration of the
-        same design.  The caller is responsible for the device matching what
+        The caller is responsible for the device matching what
         :meth:`_size_device` would return; :func:`solve_widths` guarantees
-        that bit-for-bit.
+        that bit-for-bit.  Seeding leaves exactly the state a lazy solve
+        would have left behind, shared with every :meth:`with_degeneration`
+        sibling.
         """
         if not isinstance(device, Mosfet):
             raise TypeError("seed_device() needs a Mosfet")
-        # cached_property stores through the instance __dict__, so seeding
-        # is exactly the state a lazy solve would have left behind.
-        self.__dict__["device"] = device
+        self._solution.device = device
+
+    def _seed(self, device: Mosfet, bias_point: MosfetOperatingPoint,
+              taylor: TaylorCoefficients | None) -> None:
+        """Install one :func:`seed_gm_stages` element: device, bias, memo."""
+        self.seed_device(device)
+        self._solution.bias_point = bias_point
+        if taylor is not None:
+            self._taylor_cache[TAYLOR_DELTA] = taylor
 
     def _size_device(self) -> Mosfet:
         """Solve the width that delivers ``tca_gm`` at the per-side bias current."""
@@ -224,12 +361,15 @@ class TransconductanceAmplifier:
                 hi = mid
         return Mosfet.nmos(math.sqrt(lo * hi), length, self.technology)
 
-    @cached_property
+    @property
     def bias_point(self) -> MosfetOperatingPoint:
         """Operating point of one Gm device at the design bias."""
-        vds = self.technology.mid_rail
-        vgs = self.device.vgs_for_current(self._bias_per_side, vds)
-        return self.device.operating_point(vgs, vds)
+        solution = self._solution
+        if solution.bias_point is None:
+            vds = self.technology.mid_rail
+            vgs = self.device.vgs_for_current(self._bias_per_side, vds)
+            solution.bias_point = self.device.operating_point(vgs, vds)
+        return solution.bias_point
 
     @property
     def bias_voltage(self) -> float:
@@ -256,7 +396,8 @@ class TransconductanceAmplifier:
 
     # -- nonlinearity -----------------------------------------------------------
 
-    def taylor_coefficients(self, delta: float = 1e-3) -> TaylorCoefficients:
+    def taylor_coefficients(self, delta: float = TAYLOR_DELTA
+                            ) -> TaylorCoefficients:
         """Numerical Taylor expansion of the (degenerated) I-V around bias.
 
         Central differences on the large-signal transfer (including the
@@ -285,16 +426,17 @@ class TransconductanceAmplifier:
             # iteration; the damping converges the loop for gm * r_s < ~3,
             # which covers every realistic degeneration value.
             i = self.device.drain_current(vgs0 + v_in, vds)
-            for _ in range(60):
+            for _ in range(_FIXED_POINT_STEPS):
                 i_new = self.device.drain_current(vgs0 + v_in - i * r_s, vds)
-                if abs(i_new - i) < 1e-15:
+                if abs(i_new - i) < _FIXED_POINT_TOLERANCE:
                     return i_new
                 i = 0.5 * (i + i_new)
             raise RuntimeError(
-                "degenerated bias point failed to converge within 60 "
-                f"fixed-point iterations (residual {abs(i_new - i):.3g} A "
-                f"at v_in={v_in:.3g} V, r_s={r_s:.3g} ohm); the damped "
-                "iteration diverges once gm * r_s exceeds ~3")
+                "degenerated bias point failed to converge within "
+                f"{_FIXED_POINT_STEPS} fixed-point iterations (residual "
+                f"{abs(i_new - i):.3g} A at v_in={v_in:.3g} V, "
+                f"r_s={r_s:.3g} ohm); the damped iteration diverges once "
+                "gm * r_s exceeds ~3")
 
         i0 = current(0.0)
         ip1, im1 = current(delta), current(-delta)

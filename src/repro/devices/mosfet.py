@@ -19,6 +19,7 @@ design arguments rest on:
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 from dataclasses import dataclass
@@ -468,9 +469,20 @@ solve_widths` steps one width bisection for the whole design axis through
         return int(self.width.size)
 
     def with_widths(self, widths) -> "MosfetArray":
-        """The same bank re-drawn at new widths (the bisection step)."""
-        return MosfetArray(widths, self.length, self.polarity,
-                           self.technologies)
+        """The same bank re-drawn at new widths (the bisection step).
+
+        Only the widths change, so the validated lengths and per-element
+        technology constants are shared rather than gathered again.
+        """
+        width = np.asarray(widths, dtype=float)
+        if width.shape != self.width.shape:
+            raise ValueError(
+                f"got {width.size} widths for a bank of {len(self)} devices")
+        if np.any(width <= 0):
+            raise ValueError("MOSFET width and length must be positive")
+        bank = copy.copy(self)
+        bank.width = width
+        return bank
 
     def element(self, index: int) -> Mosfet:
         """The scalar :class:`Mosfet` equivalent of one bank element."""
@@ -485,11 +497,36 @@ solve_widths` steps one width bisection for the whole design axis through
 
     # -- DC model -----------------------------------------------------------
 
+    def _vds_terms(self, nvds: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The per-element terms of the DC equations that depend on vds only.
+
+        Split out so the bias bisection, which re-evaluates the current at
+        one fixed vds on every step, computes them once; the doubles are the
+        ones the inline scalar expressions produce.
+        """
+        return 1.0 + self._lambda * nvds, 0.5 * nvds * nvds, nvds < 0.0
+
+    def _current(self, vov: np.ndarray, nvds: np.ndarray, beta: np.ndarray,
+                 vds_terms: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+        """Drain current on normalised arrays, plus the terms gm reuses.
+
+        Returns ``(id, degradation, beta_eff, cutoff)``; callers hold the
+        ``np.errstate`` that silences the masked-out branches.
+        """
+        clm, half_vds_sq, reverse = vds_terms
+        cutoff = (vov <= 0.0) | reverse
+        degradation = 1.0 + self._theta * vov
+        beta_eff = beta / degradation
+        id_sat = 0.5 * beta_eff * vov * vov * clm
+        id_tri = beta_eff * (vov * nvds - half_vds_sq) * clm
+        id_ = np.where(cutoff, 0.0, np.where(nvds >= vov, id_sat, id_tri))
+        return id_, degradation, beta_eff, cutoff
+
     def _evaluate(self, nvgs: np.ndarray, nvds: np.ndarray,
                   current_only: bool) -> tuple[np.ndarray, ...]:
         """The square-law equations on polarity-normalised voltage arrays.
 
-        Every arithmetic expression below mirrors a line of the scalar
+        Every arithmetic expression mirrors a line of the scalar
         :meth:`Mosfet.operating_point` with identical association order;
         region selection happens through masks instead of branches, which
         cannot perturb the per-element doubles.
@@ -498,18 +535,14 @@ solve_widths` steps one width bisection for the whole design axis through
         beta = self.beta
         theta = self._theta
         lam = self._lambda
-        cutoff = (vov <= 0.0) | (nvds < 0.0)
-        saturated = ~cutoff & (nvds >= vov)
-        triode = ~cutoff & ~saturated
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            degradation = 1.0 + theta * vov
-            beta_eff = beta / degradation
-            clm = 1.0 + lam * nvds
-            id_sat = 0.5 * beta_eff * vov * vov * clm
-            id_tri = beta_eff * (vov * nvds - 0.5 * nvds * nvds) * clm
-            id_ = np.where(cutoff, 0.0, np.where(saturated, id_sat, id_tri))
+            vds_terms = self._vds_terms(nvds)
+            id_, degradation, beta_eff, cutoff = self._current(
+                vov, nvds, beta, vds_terms)
             if current_only:
                 return (id_,)
+            clm, half_vds_sq, _ = vds_terms
+            saturated = ~cutoff & (nvds >= vov)
             # The scalar model writes ``degradation ** 2``, which CPython
             # routes through libm pow() — occasionally 1 ulp away from the
             # x*x that numpy lowers ``arr ** 2`` to.  Square per element
@@ -525,7 +558,7 @@ solve_widths` steps one width bisection for the whole design axis through
             gds_sat = 0.5 * beta_eff * vov * vov * lam
             gm_tri = beta_eff * nvds * clm
             gds_tri = beta_eff * (vov - nvds) * clm \
-                + beta_eff * (vov * nvds - 0.5 * nvds * nvds) * lam
+                + beta_eff * (vov * nvds - half_vds_sq) * lam
             gm = np.where(cutoff, 0.0, np.where(saturated, gm_sat, gm_tri))
             gds = np.where(cutoff, 0.0,
                            np.where(saturated, gds_sat, gds_tri))
@@ -578,29 +611,37 @@ solve_widths` steps one width bisection for the whole design axis through
         lo = self._vth.copy()
         hi = self._vth + 3.0  # generous upper bound on the overdrive
         active = target > 0.0
+        vth = self._vth
+        beta = self.beta
 
-        # The scalar solver's reachability guard, evaluated per element.
-        (id_hi,) = self._evaluate(hi, nvds, current_only=True)
-        unreachable = active & (id_hi < target)
-        if np.any(unreachable):
-            indices = np.flatnonzero(unreachable)
-            shown = ", ".join(
-                f"[{i}] {target[i]:.3g} A" for i in indices[:5])
-            if indices.size > 5:
-                shown += f", ... ({indices.size} total)"
-            raise ValueError(
-                "target current is unreachable for this geometry at bank "
-                f"element(s): {shown}")
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # Everything but the gate voltage is fixed across the bisection,
+            # so the vds terms are evaluated once, not once per step.
+            vds_terms = self._vds_terms(nvds)
 
-        for _ in range(max_iterations):
-            if not np.any(active):
-                break
-            mid = 0.5 * (lo + hi)
-            (id_mid,) = self._evaluate(mid, nvds, current_only=True)
-            below = id_mid < target
-            lo = np.where(active & below, mid, lo)
-            hi = np.where(active & ~below, mid, hi)
-            active = active & ~((hi - lo) < tolerance)
+            def current_at(nvgs: np.ndarray) -> np.ndarray:
+                return self._current(nvgs - vth, nvds, beta, vds_terms)[0]
+
+            # The scalar solver's reachability guard, evaluated per element.
+            unreachable = active & (current_at(hi) < target)
+            if np.any(unreachable):
+                indices = np.flatnonzero(unreachable)
+                shown = ", ".join(
+                    f"[{i}] {target[i]:.3g} A" for i in indices[:5])
+                if indices.size > 5:
+                    shown += f", ... ({indices.size} total)"
+                raise ValueError(
+                    "target current is unreachable for this geometry at "
+                    f"bank element(s): {shown}")
+
+            for _ in range(max_iterations):
+                if not active.any():
+                    break
+                mid = 0.5 * (lo + hi)
+                below = current_at(mid) < target
+                lo = np.where(active & below, mid, lo)
+                hi = np.where(active & ~below, mid, hi)
+                active = active & ~((hi - lo) < tolerance)
         return np.where(target == 0.0, 0.0, sign * 0.5 * (lo + hi))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

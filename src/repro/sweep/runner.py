@@ -36,7 +36,11 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.core.config import MixerDesign, MixerMode
-from repro.core.reconfigurable_mixer import ReconfigurableMixer, SpecIntermediates
+from repro.core.reconfigurable_mixer import (
+    ReconfigurableMixer,
+    SpecIntermediates,
+    seed_gm_widths,
+)
 from repro.core.transconductance import solve_widths
 from repro.sweep.cache import SpecCache, resolve_cache
 from repro.sweep.grid import IF_AXIS, RF_AXIS, SweepAxis
@@ -179,9 +183,11 @@ class SweepRunner:
         the N x 80 scalar bisection steps collapse into 80 array steps.  A
         design only joins the block when at least one of its modes is served
         by neither the mixer memo nor the disk cache (cache hits seed the
-        memo here, so a warm run still performs zero solves); the solved
-        widths are bit-identical to the lazy scalar path, so cell results do
-        not depend on which solver ran.  Returns the number of designs
+        memo here, so a warm run still performs zero solves).  The same
+        pass seeds each mixer's bias point and Taylor memo
+        (:func:`~repro.core.reconfigurable_mixer.seed_gm_widths`); all of it
+        is bit-identical to the lazy scalar path, so cell results do not
+        depend on which solver ran.  Returns the number of designs
         batch-sized.
         """
         pending_records: list[MixerDesign] = []
@@ -213,8 +219,7 @@ class SweepRunner:
         if len(pending_records) < self._BATCH_THRESHOLD:
             return 0
         widths = solve_widths(pending_records, labels=pending_labels)
-        for mixer, width in zip(pending_mixers, widths):
-            mixer.seed_gm_width(float(width))
+        seed_gm_widths(pending_mixers, widths)
         return len(pending_records)
 
     def _cell_intermediates(self, mixer: ReconfigurableMixer,

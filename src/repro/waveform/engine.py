@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import MixerDesign, MixerMode
-from repro.core.reconfigurable_mixer import ReconfigurableMixer
+from repro.core.reconfigurable_mixer import ReconfigurableMixer, seed_gm_widths
 from repro.core.transconductance import solve_widths
 from repro.rf.signal import WaveformTransfer
 from repro.sweep.grid import POWER_AXIS, SweepAxis
@@ -352,8 +352,10 @@ class WaveformRunner:
         The waveform twin of :meth:`SweepRunner._presize`: one
         :func:`~repro.core.transconductance.solve_widths` call replaces the
         N x 80 scalar bisections the lazy per-cell path would have run, and
-        the solved widths are bit-identical, so measures are unchanged.
-        Returns the number of designs batch-sized.
+        :func:`~repro.core.reconfigurable_mixer.seed_gm_widths` seeds the
+        bias points and Taylor memos in the same array pass; all of it is
+        bit-identical, so measures are unchanged.  Returns the number of
+        designs batch-sized.
         """
         pending_records: list[MixerDesign] = []
         pending_labels: list[str] = []
@@ -372,8 +374,7 @@ class WaveformRunner:
         if len(pending_records) < self._BATCH_THRESHOLD:
             return 0
         widths = solve_widths(pending_records, labels=pending_labels)
-        for mixer, width in zip(pending_mixers, widths):
-            mixer.seed_gm_width(float(width))
+        seed_gm_widths(pending_mixers, widths)
         return len(pending_records)
 
     def _evaluate_cell(self, mixer: ReconfigurableMixer, record: MixerDesign,

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import MixerDesign, MixerMode
-from repro.core.reconfigurable_mixer import ReconfigurableMixer
+from repro.core.reconfigurable_mixer import ReconfigurableMixer, seed_gm_widths
 from repro.core.transconductance import (
     TransconductanceAmplifier,
     batched_sizing_solve_count,
@@ -158,7 +158,7 @@ class TestSolveWidthsEquivalence:
         for record in _mc_designs(4, seed=5):
             width = float(solve_widths([record, record])[0])
             seeded, lazy = ReconfigurableMixer(record), ReconfigurableMixer(record)
-            seeded.seed_gm_width(width)
+            seed_gm_widths([seeded], [width])
             assert seeded.gm_device_sized()
             for mode in (MixerMode.ACTIVE, MixerMode.PASSIVE):
                 seeded.set_mode(mode)
