@@ -74,14 +74,20 @@ def solve_widths(designs: Sequence[MixerDesign],
     """Batch-solve the Gm-device width for a whole block of designs.
 
     The array twin of :meth:`TransconductanceAmplifier._size_device`: one
-    80-step geometric-mean bisection on width steps every design together
-    through a :class:`~repro.devices.mosfet.MosfetArray`, with the inner
-    bias solve (:meth:`MosfetArray.vgs_for_current`) masking converged
-    elements so each design retraces the scalar solver's iterate sequence
-    exactly.  The returned widths are **bit-identical** to N scalar solves
-    (same bracket ``[2e-6, 2000e-6]``, same ``sqrt(lo * hi)`` midpoint, same
-    comparison outcomes), which is what keeps the golden spec pins unchanged
-    when the sweep engine pre-sizes design blocks through this path.
+    geometric-mean bisection on width (at most 80 steps) steps every design
+    together through a :class:`~repro.devices.mosfet.MosfetArray`, with the
+    inner bias solve masking converged elements so each design retraces the
+    scalar solver's iterate sequence exactly.  The returned widths are
+    **bit-identical** to N scalar solves (same bracket ``[2e-6, 2000e-6]``,
+    same ``sqrt(lo * hi)`` midpoint, same comparison outcomes), which is
+    what keeps the golden spec pins unchanged when the sweep engine
+    pre-sizes design blocks through this path.
+
+    Only steps that can change a bit are run: an element whose bracket comes
+    out of a step unchanged is at a fixed point and frozen (the scalar
+    solver stops there too), and every bias solve resumes from the deepest
+    bias-bisection state the paths of the block's width brackets share
+    (:func:`_shared_depth`).
 
     ``labels`` (optional, one per design) names offending designs in the
     ``target gm unreachable`` error; unlabeled designs are named by index
@@ -106,12 +112,13 @@ def solve_widths(designs: Sequence[MixerDesign],
     hi = np.full(len(records), 2000e-6)
     bank = MosfetArray.nmos(hi, lengths, technologies)
 
-    def gm_at_widths(widths: np.ndarray) -> np.ndarray:
+    def gm_at_widths(widths: np.ndarray, path: list) -> np.ndarray:
         sized = bank.with_widths(widths)
-        vgs = sized.vgs_for_current(bias, vds)
+        vgs = sized._solve_vgs(bias, vds, path=path)
         return sized.operating_point(vgs, vds).gm
 
-    unreachable = gm_at_widths(hi) < targets
+    path: list = []
+    unreachable = gm_at_widths(hi, path) < targets
     if np.any(unreachable):
         def name(index: int) -> str:
             if labels is not None:
@@ -123,14 +130,66 @@ def solve_widths(designs: Sequence[MixerDesign],
         raise ValueError(
             "target gm unreachable within the width search range for: "
             + offenders)
+    # Bias-bisection paths of each element's current lo and hi widths.  The
+    # 2 um starting lo is never evaluated, so until an element's first
+    # "below" outcome its lo path is a placeholder and the block restarts
+    # every bias solve from scratch.  Frozen elements ride along in the
+    # array, but neither their outcome nor their paths are used again.
+    hi_path = np.array(path)
+    lo_path = hi_path.copy()
+    has_lo = np.zeros(len(records), dtype=bool)
+    frozen = np.zeros(len(records), dtype=bool)
     for _ in range(80):
+        live = ~frozen
+        depth = (_shared_depth(lo_path, hi_path, frozen)
+                 if has_lo[live].all() else 0)
         mid = np.sqrt(lo * hi)
-        below = gm_at_widths(mid) < targets
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+        mid_path = list(hi_path[:depth + 1])
+        below = gm_at_widths(mid, mid_path) < targets
+        rows = max(len(mid_path), len(hi_path))
+        mid_path, lo_path, hi_path = (_pad_rows(np.asarray(p), rows)
+                                      for p in (mid_path, lo_path, hi_path))
+        to_lo = live & below
+        to_hi = live & ~below
+        np.copyto(lo_path, mid_path, where=to_lo)
+        np.copyto(hi_path, mid_path, where=to_hi)
+        has_lo |= to_lo
+        new_lo = np.where(to_lo, mid, lo)
+        new_hi = np.where(to_hi, mid, hi)
+        # An unchanged bracket recomputes the same mid, gm and outcome.
+        frozen |= (new_lo == lo) & (new_hi == hi)
+        lo, hi = new_lo, new_hi
+        if frozen.all():
+            break
     _SIZING_SOLVES += len(records)
     _BATCHED_SIZING_SOLVES += 1
     return np.sqrt(lo * hi)
+
+
+def _shared_depth(lo_path: np.ndarray, hi_path: np.ndarray,
+                  frozen: np.ndarray) -> int:
+    """Deepest bias-bisection state the block's width brackets share.
+
+    ``lo_path``/``hi_path`` are the ``(rows, 2, n)`` paths of every
+    element's lower and upper width; the result is the minimum over the
+    elements not ``frozen``.  The float64 drain current is non-decreasing in
+    width at a fixed bias (every op on ``beta = u_cox * W / L`` is a rounded
+    multiply or divide by a positive factor, and the region does not depend
+    on ``W``).  So at any state where the paths of both bracket ends take
+    the same branch, every width between them takes it too: its own
+    from-scratch path passes through the returned state, and its bias solve
+    can resume there.
+    """
+    agree = ((lo_path == hi_path) | frozen).all(axis=(1, 2))
+    return int(np.logical_and.accumulate(agree).sum()) - 1
+
+
+def _pad_rows(path: np.ndarray, rows: int) -> np.ndarray:
+    """A block path extended to ``rows`` rows by repeating its final state."""
+    if len(path) >= rows:
+        return path
+    return np.concatenate(
+        [path, np.repeat(path[-1:], rows - len(path), axis=0)])
 
 
 def seed_gm_stages(stages: Sequence[TransconductanceAmplifier],
@@ -350,14 +409,20 @@ class TransconductanceAmplifier:
             return device.operating_point(vgs, vds).gm
 
         # Bisection on width: gm at fixed current grows with W (smaller Vov).
+        # A step that leaves (lo, hi) unchanged is a fixed point: every
+        # later step would repeat it, so the loop stops there.
         lo, hi = 2e-6, 2000e-6
         if gm_at_width(hi) < target_gm:
             raise ValueError("target gm unreachable within the width search range")
         for _ in range(80):
             mid = math.sqrt(lo * hi)
             if gm_at_width(mid) < target_gm:
+                if mid == lo:
+                    break
                 lo = mid
             else:
+                if mid == hi:
+                    break
                 hi = mid
         return Mosfet.nmos(math.sqrt(lo * hi), length, self.technology)
 

@@ -279,7 +279,7 @@ class Mosfet:
         if target_id < 0:
             raise ValueError("target drain current must be non-negative")
         if target_id == 0.0:
-            return 0.0 if self.params.polarity is MosfetPolarity.NMOS else 0.0
+            return 0.0
 
         p = self.params
         lo = p.vth
@@ -600,19 +600,42 @@ solve_widths` steps one width bisection for the whole design axis through
         move it, so each element retraces the scalar iterate sequence
         exactly.
         """
+        return self._solve_vgs(target_id, vds, tolerance, max_iterations)
+
+    def _solve_vgs(self, target_id, vds, tolerance: float = 1e-12,
+                   max_iterations: int = 200,
+                   path: list | None = None) -> np.ndarray:
+        """The bias bisection behind :meth:`vgs_for_current`, resumable.
+
+        ``path`` (optional) is a list of ``(2, n)`` rows: the ``lo``/``hi``
+        brackets of every element after ``k`` steps, at index ``k``.  An
+        empty list starts from scratch; a non-empty one resumes every element
+        from its last row, which must lie on each element's own from-scratch
+        path (:func:`repro.core.transconductance.solve_widths` guarantees
+        it).  The row after every step taken is appended; an element that
+        has stopped repeats its final bracket there.  The step cap counts from
+        depth 0, and a resumed bracket that already meets ``tolerance`` is
+        not stepped again.
+        """
         target = np.broadcast_to(np.asarray(target_id, dtype=float),
                                  self.width.shape).astype(float)
         if np.any(target < 0):
             raise ValueError("target drain current must be non-negative")
         nvds = np.abs(np.broadcast_to(np.asarray(vds, dtype=float),
                                       self.width.shape).astype(float))
-        sign = self._sign
-
-        lo = self._vth.copy()
-        hi = self._vth + 3.0  # generous upper bound on the overdrive
-        active = target > 0.0
         vth = self._vth
+        reach = vth + 3.0  # generous upper bound on the overdrive
         beta = self.beta
+        if path is None:
+            path = []
+        if not path:
+            path.append(np.stack([vth, reach]))
+        depth = len(path) - 1
+        bracket = path[-1].copy()
+        lo, hi = bracket
+        active = target > 0.0
+        if depth:
+            active &= ~((hi - lo) < tolerance)
 
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # Everything but the gate voltage is fixed across the bisection,
@@ -623,7 +646,7 @@ solve_widths` steps one width bisection for the whole design axis through
                 return self._current(nvgs - vth, nvds, beta, vds_terms)[0]
 
             # The scalar solver's reachability guard, evaluated per element.
-            unreachable = active & (current_at(hi) < target)
+            unreachable = (target > 0.0) & (current_at(reach) < target)
             if np.any(unreachable):
                 indices = np.flatnonzero(unreachable)
                 shown = ", ".join(
@@ -634,15 +657,26 @@ solve_widths` steps one width bisection for the whole design axis through
                     "target current is unreachable for this geometry at "
                     f"bank element(s): {shown}")
 
-            for _ in range(max_iterations):
+            # In-place updates, same per-element ops as the scalar loop.
+            mid = np.empty_like(lo)
+            below = np.empty(lo.shape, dtype=bool)
+            moved = np.empty_like(below)
+            for _ in range(depth, max_iterations):
                 if not active.any():
                     break
-                mid = 0.5 * (lo + hi)
-                below = current_at(mid) < target
-                lo = np.where(active & below, mid, lo)
-                hi = np.where(active & ~below, mid, hi)
-                active = active & ~((hi - lo) < tolerance)
-        return np.where(target == 0.0, 0.0, sign * 0.5 * (lo + hi))
+                np.add(lo, hi, out=mid)
+                np.multiply(mid, 0.5, out=mid)
+                np.less(current_at(mid), target, out=below)
+                np.logical_and(active, below, out=moved)
+                np.copyto(lo, mid, where=moved)
+                np.logical_xor(active, moved, out=moved)
+                np.copyto(hi, mid, where=moved)
+                path.append(bracket.copy())
+                np.subtract(hi, lo, out=mid)
+                np.less(mid, tolerance, out=moved)
+                np.logical_and(active, np.logical_not(moved, out=moved),
+                               out=active)
+        return np.where(target == 0.0, 0.0, self._sign * 0.5 * (lo + hi))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"MosfetArray({self.polarity.value}, n={len(self)}, "

@@ -8,15 +8,19 @@ This suite pins the contract at every layer: the :class:`MosfetArray`
 device model against the scalar :class:`Mosfet`, the array bias solve
 against the scalar one, the width solver against
 :meth:`TransconductanceAmplifier._size_device`, and the per-element error
-path of an unreachable target.  It also carries the regression test for the
-degenerated-bias fixed-point loop, which now raises instead of silently
-returning a stale current when it fails to converge.
+path of an unreachable target.  The width solvers skip the bisection
+steps that cannot change a bit (both stop at the fixed point; the batched
+one also resumes each bias solve where the width endpoints' paths part); a
+differential test pins them against the plain algorithm kept here as a
+reference, and a work gate counts the device evaluations the resume saves.  The suite also carries the
+regression test for the degenerated-bias fixed-point loop, which now raises
+instead of silently returning a stale current when it fails to converge.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -52,6 +56,74 @@ def _perturbed(design: MixerDesign, gm_scale: float,
 
 def _scalar_width(design: MixerDesign) -> float:
     return TransconductanceAmplifier(design).device.params.width
+
+
+def _reference_vgs(device: Mosfet, target: float, vds: float) -> float:
+    """The plain bias bisection: from ``[vth, vth + 3]`` on every call."""
+    lo = device.params.vth
+    hi = lo + 3.0
+    if device.operating_point(hi, vds).id < target:
+        raise ValueError(
+            f"target current {target:.3g} A is unreachable for this geometry")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if device.operating_point(mid, vds).id < target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-12:
+            break
+    return 0.5 * (lo + hi)
+
+
+def _reference_width(design: MixerDesign) -> float:
+    """The plain width solve: 80 full steps, each bias solve from scratch."""
+    bias = design.tca_bias_current / 2.0
+    vds = design.technology.mid_rail
+
+    def gm_at(width: float) -> float:
+        device = Mosfet.nmos(width, design.gm_device_length, design.technology)
+        return device.operating_point(_reference_vgs(device, bias, vds),
+                                      vds).gm
+
+    lo, hi = 2e-6, 2000e-6
+    if gm_at(hi) < design.tca_gm:
+        raise ValueError("target gm unreachable within the width search range")
+    for _ in range(80):
+        mid = math.sqrt(lo * hi)
+        if gm_at(mid) < design.tca_gm:
+            lo = mid
+        else:
+            hi = mid
+    return math.sqrt(lo * hi)
+
+
+#: Base technologies and Gm-device lengths the differential blocks mix.
+_CORNERS = (UMC65_LIKE, slow_corner(), fast_corner())
+_LENGTHS = (65e-9, 100e-9, 180e-9)
+
+
+@st.composite
+def _design_blocks(draw) -> list[MixerDesign]:
+    """Monte-Carlo blocks of 1, 2 or an odd number of designs.
+
+    Each element draws its own base corner and Gm length, and the whole
+    block samples a ``DeviceSpread`` widened up to 3x.
+    """
+    size = draw(st.sampled_from((1, 2, 3, 5, 7)))
+    widen = draw(st.floats(min_value=1.0, max_value=3.0))
+    base = DeviceSpread()
+    spread = DeviceSpread(*(widen * getattr(base, f.name)
+                            for f in fields(base)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    corners = draw(st.lists(st.sampled_from(_CORNERS),
+                            min_size=size, max_size=size))
+    lengths = draw(st.lists(st.sampled_from(_LENGTHS),
+                            min_size=size, max_size=size))
+    return [sample_design(replace(MixerDesign(), technology=corner,
+                                  gm_device_length=length),
+                          rng, spread, f"hyp-{i}")
+            for i, (corner, length) in enumerate(zip(corners, lengths))]
 
 
 def _mc_designs(count: int, seed: int = 19) -> list[MixerDesign]:
@@ -201,11 +273,96 @@ class TestSolveWidthsEquivalence:
         assert bad.fingerprint()[:12] in message
 
     def test_scalar_error_message_unchanged(self):
-        with pytest.raises(ValueError,
-                           match="target gm unreachable within the width "
-                                 "search range"):
+        with pytest.raises(ValueError) as excinfo:
             TransconductanceAmplifier(
                 replace(MixerDesign(), tca_gm=1.0)).device
+        assert str(excinfo.value) == (
+            "target gm unreachable within the width search range")
+
+
+class TestResumedSizing:
+    """Fixed-point stop and bias-path resume change no bit and save work."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(block=_design_blocks())
+    def test_solvers_match_reference_bitwise(self, block):
+        reference = np.array([_reference_width(d) for d in block])
+        scalar = np.array([_scalar_width(d) for d in block])
+        assert solve_widths(block).tobytes() == reference.tobytes()
+        assert scalar.tobytes() == reference.tobytes()
+
+    def test_unreachable_current_text_is_unchanged(self):
+        # Reachable at the 2000 um bracket end, but not at the 11 um the
+        # width bisection visits on its second step.
+        design = MixerDesign()
+        bad = replace(design, tca_gm=1e-6, tca_bias_current=0.1)
+        with pytest.raises(ValueError) as reference:
+            _reference_width(bad)
+        with pytest.raises(ValueError) as scalar:
+            _scalar_width(bad)
+        assert str(scalar.value) == str(reference.value) == (
+            "target current 0.05 A is unreachable for this geometry")
+        with pytest.raises(ValueError) as batched:
+            solve_widths([design, bad])
+        assert str(batched.value) == (
+            "target current is unreachable for this geometry at bank "
+            "element(s): [1] 0.05 A")
+
+    def test_work_gate(self, monkeypatch):
+        # Deterministic and untimed: the plain algorithm makes 3,564 current
+        # evaluations on this block, the resumed one about 1,100.
+        calls = 0
+        current = MosfetArray._current
+
+        def counted(self, *args):
+            nonlocal calls
+            calls += 1
+            return current(self, *args)
+
+        grid = _mc_designs(128, seed=7)
+        monkeypatch.setattr(MosfetArray, "_current", counted)
+        solve_widths(grid)
+        assert 0 < calls <= 1200
+
+
+class TestCurrentMonotoneInWidth:
+    """The premise of the resume: float64 drain current never falls with W."""
+
+    @staticmethod
+    def _widths(width, other):
+        return sorted({width, float(np.nextafter(width, 1.0)), other})
+
+    @COMMON_SETTINGS
+    @given(width=st.floats(min_value=2e-6, max_value=2000e-6),
+           other=st.floats(min_value=2e-6, max_value=2000e-6),
+           vov=st.floats(min_value=1e-6, max_value=3.0),
+           vds_share=st.floats(min_value=0.0, max_value=2.0),
+           corner=st.sampled_from(_CORNERS))
+    def test_nmos_scalar_and_array(self, width, other, vov, vds_share, corner):
+        # vds_share < 1 puts the device in triode, >= 1 in saturation.
+        vgs, vds = corner.vth_n + vov, vov * vds_share
+        widths = self._widths(width, other)
+        scalar = [Mosfet.nmos(w, 100e-9, corner).drain_current(vgs, vds)
+                  for w in widths]
+        banked = MosfetArray.nmos(np.array(widths), 100e-9,
+                                  corner).drain_current(vgs, vds)
+        assert scalar == sorted(scalar)
+        assert np.all(np.diff(banked) >= 0.0)
+
+    @COMMON_SETTINGS
+    @given(width=st.floats(min_value=2e-6, max_value=2000e-6),
+           other=st.floats(min_value=2e-6, max_value=2000e-6),
+           vov=st.floats(min_value=1e-6, max_value=3.0),
+           vds_share=st.floats(min_value=0.0, max_value=2.0))
+    def test_pmos_scalar_and_array(self, width, other, vov, vds_share):
+        vgs, vds = -(UMC65_LIKE.vth_p + vov), -vov * vds_share
+        widths = self._widths(width, other)
+        scalar = [Mosfet.pmos(w, 100e-9).drain_current(vgs, vds)
+                  for w in widths]
+        banked = MosfetArray.pmos(np.array(widths),
+                                  100e-9).drain_current(vgs, vds)
+        assert scalar == sorted(scalar)
+        assert np.all(np.diff(banked) >= 0.0)
 
 
 class TestSeedDevice:
