@@ -40,15 +40,17 @@ from repro.core.config import (
     paper_targets,
 )
 from repro.core.load import TransmissionGateLoad
+from repro.core.power import PowerBudget
 from repro.core.switches import PmosSwitch
 from repro.core.switching_quad import LoDrive, SwitchingQuad
 from repro.core.tia import TransimpedanceAmplifier
 from repro.core.transconductance import (
     TransconductanceAmplifier,
+    band_magnitude,
     seed_gm_stages,
 )
 from repro.rf.conversion_gain import SWITCHING_FACTOR
-from repro.rf.filters import FirstOrderLowPass
+from repro.rf.filters import FirstOrderLowPass, rc_pole_frequency
 from repro.rf.noise_figure import nf_with_flicker, noise_figure_from_factor
 from repro.units import (
     BOLTZMANN,
@@ -64,10 +66,12 @@ class SpecIntermediates:
     """Memoized per-(design, mode) scalars behind the spec accessors.
 
     Everything here depends only on the frozen design record and the mode —
-    not on the swept RF/IF frequencies — so the sweep engine computes it once
-    per (design, mode) cell and then evaluates whole frequency grids through
-    the vectorized accessors.  The scalar accessors read the same cache, so
-    repeated point queries stop re-deriving the operating point too.
+    not on the swept RF/IF frequencies — so the sweep engine computes it for
+    a whole design block in one :func:`spec_block` pass per mode and then
+    evaluates whole frequency grids through the block forms
+    (:func:`conversion_gain_db_block`, :func:`noise_figure_db_block`).  The
+    scalar accessors read the same cache, so repeated point queries stop
+    re-deriving the operating point too.
     """
 
     mode: MixerMode
@@ -153,12 +157,194 @@ def seed_gm_widths(mixers: Sequence[ReconfigurableMixer], widths) -> None:
     element per mixer.  One :func:`~repro.core.transconductance.\
 seed_gm_stages` array pass then seeds, for both TCA configurations of every
     mixer, the sized device, the bias point and the Taylor memo — exactly the
-    state the lazy scalar solves would have left behind, so the per-cell
-    spec intermediates that follow do no device solves at all.
+    state the lazy scalar solves would have left behind, so the spec blocks
+    that follow do no device solves at all.
     """
     stages = [stage for mixer in mixers
               for stage in (mixer._tca_active, mixer._tca_passive)]
     seed_gm_stages(stages, np.repeat(np.asarray(widths, dtype=float), 2))
+
+
+def _pow2(values: np.ndarray) -> np.ndarray:
+    """``x ** 2`` of each element as a Python float computes it: libm ``pow``.
+
+    NumPy lowers ``array ** 2`` to ``x * x``, which differs from ``pow`` in
+    the last bit for some inputs; the spec maths square these values as
+    Python floats, so the block must too.
+    """
+    return np.array([math.pow(value, 2.0) for value in values.tolist()])
+
+
+def spec_block(mixers: Sequence[ReconfigurableMixer],
+               mode: MixerMode) -> list[SpecIntermediates]:
+    """The :class:`SpecIntermediates` of ``mode`` for a block of mixers.
+
+    The one implementation of the spec maths:
+    :meth:`ReconfigurableMixer.spec_intermediates` runs it on a block of
+    one, and the sweep engine once per mode over a whole design axis.  Each
+    per-mixer read — the Gm stage's Taylor memo (which sizes the device and
+    solves the bias point if nothing seeded them), the quad's on-resistance,
+    the design-only scalars — is gathered over the block in block order, so
+    the first failing design raises its scalar error.  The array maths then
+    follow the scalar op order element for element: ``x ** 2`` of a Python
+    float goes through :func:`_pow2`, and infinite IIP3 contributions
+    (passive output stage, active quad, ``g3 == 0``) are skipped, not added.
+    """
+    mixers = list(mixers)
+    if not mixers:
+        return []
+    stages = [mixer.gm_stage(mode) for mixer in mixers]
+    taylor = [stage.taylor_coefficients() for stage in stages]
+    designs = [mixer.design for mixer in mixers]
+    quads = [mixer.switching_quad for mixer in mixers]
+    g1 = np.array([t.g1 for t in taylor])
+    g2 = np.array([t.g2 for t in taylor])
+    g3 = np.array([t.g3 for t in taylor])
+    gm = np.array([stage.raw_gm for stage in stages])
+    r_s = np.array([stage.degeneration_resistance for stage in stages])
+    load = np.array([mixer._load_resistance(mode) for mixer in mixers])
+    band_edges = [stage.band_edges(mixer._coupling_capacitance(mode),
+                                   mixer._band_node_resistance(mode))
+                  for stage, mixer in zip(stages, mixers)]
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gm_eff = gm / (1.0 + gm * r_s)
+        gain = SWITCHING_FACTOR * gm_eff * load
+
+        # IIP3: Gm stage (TaylorCoefficients.iip3_dbm), quad, output network,
+        # combined as 1/A_total^2 = sum(1/A_k^2) over the finite ones.
+        gm_stage_iip3 = np.where(
+            g3 == 0.0, math.inf,
+            dbm_from_vpeak(np.sqrt((4.0 / 3.0) * np.abs(g1 / g3))))
+        quad_iip3 = np.array([quad.iip3_dbm(mode) for quad in quads])
+        if mode is MixerMode.PASSIVE:
+            output_iip3 = np.full(len(mixers), math.inf)
+        else:
+            intercept = np.array([mixer.load.output_intercept_vpeak()
+                                  for mixer in mixers])
+            output_iip3 = dbm_from_vpeak(intercept / gain)
+        inverse_sum = np.zeros(len(mixers))
+        for contribution in (gm_stage_iip3, quad_iip3, output_iip3):
+            amplitude = vpeak_from_dbm(contribution)
+            np.add(inverse_sum, 1.0 / _pow2(amplitude), out=inverse_sum,
+                   where=~np.isinf(contribution))
+        iip3 = np.where(inverse_sum == 0.0, math.inf,
+                        dbm_from_vpeak(np.sqrt(1.0 / inverse_sum)))
+
+        # IIP2: the Gm device's g2, scaled by the differential mismatch.
+        mismatch = np.array([d.differential_mismatch for d in designs])
+        iip2 = np.where((mismatch <= 0) | (g2 == 0.0), math.inf,
+                        dbm_from_vpeak(np.abs(g1 / g2) / mismatch))
+
+        # P1dB: min(IIP3 - 9.6 dB, output-swing limit referred to the input).
+        swing = np.array([d.output_swing_limit for d in designs])
+        third_order = iip3 - 9.6
+        swing_limited = dbm_from_vpeak(0.98 * swing / gain)
+        p1db = np.where(swing_limited < third_order, swing_limited,
+                        third_order)
+
+    columns = (db_from_voltage_ratio(gain),
+               [low for low, _ in band_edges],
+               [high for _, high in band_edges],
+               _white_noise_figure_db(mixers, mode, gm, gm_eff),
+               [quad.flicker_corner(mode) for quad in quads],
+               iip3, iip2, p1db,
+               [PowerBudget(design).total_mw(mode) for design in designs])
+    rows = zip(*(np.asarray(values, dtype=float).tolist()
+                 for values in columns))
+    return [SpecIntermediates(mode, *row) for row in rows]
+
+
+def _white_noise_figure_db(mixers: list[ReconfigurableMixer], mode: MixerMode,
+                           gm: np.ndarray, gm_eff: np.ndarray) -> np.ndarray:
+    """DSB noise figure well above the flicker corner (dB), per mixer.
+
+    The noise factor is a sum of physically identifiable terms referred
+    to the 50 ohm source:
+
+    * the Gm-device channel noise ``2 gamma / (gm Rs)``;
+    * the degeneration resistance (passive mode only);
+    * the quad switch on-resistances (passive mode only — in active mode
+      their cyclostationary contribution is folded into the switching
+      excess term);
+    * the commutation excess (LO noise folding, calibrated);
+    * the load / TIA noise referred through the conversion gain.
+    """
+    designs = [mixer.design for mixer in mixers]
+    rs = REFERENCE_IMPEDANCE
+    gamma = np.array([d.technology.gamma_noise for d in designs])
+
+    factor = 1.0 + 2.0 * gamma / (gm * rs)
+    factor += [mixer.switching_quad.noise_excess_factor(mode)
+               for mixer in mixers]
+    conversion = SWITCHING_FACTOR * gm_eff
+    if mode is MixerMode.PASSIVE:
+        feedback = np.array([d.feedback_resistance for d in designs])
+        factor += 2.0 * np.array([d.degeneration_resistance
+                                  for d in designs]) / rs
+        factor += 4.0 * np.array([mixer.switching_quad.switch_on_resistance
+                                  for mixer in mixers]) / rs
+        # R_F thermal noise referred to the RF input.
+        factor += 2.0 / (_pow2(conversion) * feedback * rs)
+        # OTA input noise referred to the RF input through the voltage gain.
+        gain_voltage = conversion * feedback
+        ota_psd = 2.0 * _pow2(np.array([mixer.tia.ota.input_noise_density
+                                        for mixer in mixers]))
+        source_psd = 4.0 * BOLTZMANN * np.array(
+            [d.technology.temperature for d in designs]) * rs
+        factor += ota_psd / (source_psd * _pow2(gain_voltage))
+    else:
+        load = np.array([d.load_resistance for d in designs])
+        factor += 2.0 / (_pow2(conversion) * load * rs)
+    return noise_figure_from_factor(factor)
+
+
+def _leading(values, ndim: int) -> np.ndarray:
+    """Per-design values as a ``(D, 1, ..., 1)`` array for ``ndim`` axes."""
+    return np.array(values, dtype=float).reshape((-1,) + (1,) * ndim)
+
+
+def conversion_gain_db_block(mixers: Sequence[ReconfigurableMixer],
+                             cells: Sequence[SpecIntermediates],
+                             rf_frequency: float | np.ndarray,
+                             if_frequency: float | np.ndarray) -> np.ndarray:
+    """Conversion gain (dB) of a design block over RF/IF frequency arrays.
+
+    ``cells[i]`` holds ``mixers[i]``'s intermediates for the mode evaluated.
+    ``rf_frequency`` and ``if_frequency`` broadcast against each other under
+    the usual NumPy rules; the result carries one leading design axis in
+    front of that shape, with each design's band edges and IF pole
+    broadcast along it — a design axis x Fig. 8 x Fig. 9 plane is one call
+    with ``rf[:, None]`` against ``if_[None, :]``.
+    """
+    rf = np.asarray(rf_frequency, dtype=float)
+    if_freq = np.asarray(if_frequency, dtype=float)
+    if np.any(rf <= 0) or np.any(if_freq <= 0):
+        raise ValueError("frequencies must be positive")
+    ndim = max(rf.ndim, if_freq.ndim)
+    gain_db = _leading([cell.peak_gain_db for cell in cells], ndim)
+    band = band_magnitude(rf, _leading([c.band_low_hz for c in cells], ndim),
+                          _leading([c.band_high_hz for c in cells], ndim))
+    # FirstOrderLowPass(1.0, pole).magnitude of each design's IF network.
+    pole = _leading([rc_pole_frequency(*mixer._if_network(cell.mode))
+                     for mixer, cell in zip(mixers, cells)], ndim)
+    if_mag = np.abs(1.0 / (1.0 + 1j * if_freq / pole))
+    return gain_db + db_from_voltage_ratio(band) + db_from_voltage_ratio(if_mag)
+
+
+def noise_figure_db_block(cells: Sequence[SpecIntermediates],
+                          if_frequency: float | np.ndarray) -> np.ndarray:
+    """DSB noise figure (dB) of a design block over an IF frequency array.
+
+    The result carries one leading design axis in front of
+    ``if_frequency``'s shape; each design's white floor and flicker corner
+    broadcast along it.
+    """
+    if_freq = np.asarray(if_frequency, dtype=float)
+    return np.asarray(nf_with_flicker(
+        _leading([cell.white_nf_db for cell in cells], if_freq.ndim),
+        _leading([cell.flicker_corner_hz for cell in cells], if_freq.ndim),
+        if_freq))
 
 
 class ReconfigurableMixer:
@@ -219,7 +405,11 @@ class ReconfigurableMixer:
     @property
     def transconductor(self) -> TransconductanceAmplifier:
         """The Gm stage as configured for the current mode."""
-        return self._tca_active if self._mode is MixerMode.ACTIVE \
+        return self.gm_stage(self._mode)
+
+    def gm_stage(self, mode: MixerMode) -> TransconductanceAmplifier:
+        """The Gm stage as configured for ``mode``."""
+        return self._tca_active if mode is MixerMode.ACTIVE \
             else self._tca_passive
 
     def gm_device_sized(self) -> bool:
@@ -244,9 +434,7 @@ class ReconfigurableMixer:
     # -- per-mode derived quantities ----------------------------------------------
 
     def _effective_gm(self, mode: MixerMode | None = None) -> float:
-        mode = mode or self._mode
-        tca = self._tca_active if mode is MixerMode.ACTIVE else self._tca_passive
-        return tca.effective_gm
+        return self.gm_stage(mode or self._mode).effective_gm
 
     def _load_resistance(self, mode: MixerMode | None = None) -> float:
         mode = mode or self._mode
@@ -255,16 +443,14 @@ class ReconfigurableMixer:
         return self.design.feedback_resistance
 
     def _if_filter(self, mode: MixerMode | None = None) -> FirstOrderLowPass:
-        mode = mode or self._mode
-        if mode is MixerMode.ACTIVE:
-            return self.load.if_response()
-        return self.tia.if_response()
+        return FirstOrderLowPass.from_rc(*self._if_network(mode or self._mode))
 
-    def _if_magnitude(self, if_frequency: float | np.ndarray) -> float | np.ndarray:
-        """IF roll-off magnitude of the current mode's output network."""
-        if self._mode is MixerMode.ACTIVE:
-            return self.load.if_magnitude(if_frequency)
-        return self.tia.if_magnitude(if_frequency)
+    def _if_network(self, mode: MixerMode) -> tuple[float, float]:
+        """(R, C) of the IF low-pass: R_load C_c (active) or R_F C_F."""
+        design = self.design
+        if mode is MixerMode.ACTIVE:
+            return design.load_resistance, design.load_capacitance
+        return design.feedback_resistance, design.feedback_capacitance
 
     def _coupling_capacitance(self, mode: MixerMode | None = None) -> float:
         mode = mode or self._mode
@@ -283,11 +469,11 @@ class ReconfigurableMixer:
     def spec_intermediates(self) -> SpecIntermediates:
         """The frequency-independent spec scalars of the current mode.
 
-        Computed once per mode and cached for the lifetime of the mixer
-        (the design record is frozen, so nothing can invalidate the entry).
-        Both the scalar spec accessors and the vectorized array variants read
-        this cache; the sweep engine relies on it to keep per-grid-cell work
-        down to pure NumPy array maths.
+        Computed once per mode, as a :func:`spec_block` of one, and cached
+        for the lifetime of the mixer (the design record is frozen, so
+        nothing can invalidate the entry).  Both the scalar spec accessors
+        and the vectorized array variants read this cache; the sweep engine
+        fills it for whole design blocks at once (:meth:`seed_intermediates`).
         """
         cached = self._intermediates.get(self._mode)
         if cached is not None:
@@ -320,22 +506,7 @@ class ReconfigurableMixer:
         return self._intermediates.get(mode)
 
     def _compute_intermediates(self) -> SpecIntermediates:
-        iip3 = self._compute_iip3_dbm()
-        band_low, band_high = self.transconductor.band_edges(
-            self._coupling_capacitance(), self._band_node_resistance())
-        gain = SWITCHING_FACTOR * self._effective_gm() * self._load_resistance()
-        return SpecIntermediates(
-            mode=self._mode,
-            peak_gain_db=float(db_from_voltage_ratio(gain)),
-            band_low_hz=band_low,
-            band_high_hz=band_high,
-            white_nf_db=self._compute_white_noise_figure_db(),
-            flicker_corner_hz=self.switching_quad.flicker_corner(self._mode),
-            iip3_dbm=iip3,
-            iip2_dbm=self._compute_iip2_dbm(),
-            p1db_dbm=self._compute_p1db_dbm(iip3),
-            power_mw=self._compute_power_mw(),
-        )
+        return spec_block([self], self._mode)[0]
 
     # -- conversion gain -------------------------------------------------------------
 
@@ -349,20 +520,13 @@ class ReconfigurableMixer:
 
         ``rf_frequency`` and ``if_frequency`` broadcast against each other
         under the usual NumPy rules, so a full Fig. 8 x Fig. 9 plane is one
-        call with ``rf[:, None]`` against ``if_[None, :]``.  The scalar
-        :meth:`conversion_gain_db` is a thin wrapper around this method, so
-        both paths are numerically identical.
+        call with ``rf[:, None]`` against ``if_[None, :]``.  A block of one
+        through :func:`conversion_gain_db_block`, which the sweep engine
+        runs over whole design axes; the scalar :meth:`conversion_gain_db`
+        wraps this method, so every path computes the same bits.
         """
-        rf = np.asarray(rf_frequency, dtype=float)
-        if_freq = np.asarray(if_frequency, dtype=float)
-        if np.any(rf <= 0) or np.any(if_freq <= 0):
-            raise ValueError("frequencies must be positive")
-        gain_db = self.spec_intermediates().peak_gain_db
-        band = self.transconductor.band_response(
-            rf, self._coupling_capacitance(), self._band_node_resistance())
-        if_mag = self._if_magnitude(if_freq)
-        return np.asarray(gain_db + db_from_voltage_ratio(band)
-                          + db_from_voltage_ratio(if_mag))
+        return conversion_gain_db_block(
+            [self], [self.spec_intermediates()], rf_frequency, if_frequency)[0]
 
     def conversion_gain_db(self, rf_frequency: float | None = None,
                            if_frequency: float | None = None) -> float:
@@ -390,48 +554,6 @@ class ReconfigurableMixer:
         """DSB noise figure well above the flicker corner (dB); memoized."""
         return self.spec_intermediates().white_nf_db
 
-    def _compute_white_noise_figure_db(self) -> float:
-        """DSB noise figure well above the flicker corner (dB).
-
-        The noise factor is a sum of physically identifiable terms referred
-        to the 50 ohm source:
-
-        * the Gm-device channel noise ``2 gamma / (gm Rs)``;
-        * the degeneration resistance (passive mode only);
-        * the quad switch on-resistances (passive mode only — in active mode
-          their cyclostationary contribution is folded into the switching
-          excess term);
-        * the commutation excess (LO noise folding, calibrated);
-        * the load / TIA noise referred through the conversion gain.
-        """
-        design = self.design
-        technology = design.technology
-        rs = REFERENCE_IMPEDANCE
-        gamma = technology.gamma_noise
-        gm = self.transconductor.raw_gm
-        gm_eff = self._effective_gm()
-
-        factor = 1.0
-        factor += 2.0 * gamma / (gm * rs)
-        factor += self.switching_quad.noise_excess_factor(self._mode)
-
-        if self._mode is MixerMode.PASSIVE:
-            factor += 2.0 * design.degeneration_resistance / rs
-            factor += 4.0 * self.switching_quad.switch_on_resistance / rs
-            conversion = SWITCHING_FACTOR * gm_eff
-            # R_F thermal noise referred to the RF input.
-            factor += 2.0 / (conversion ** 2 * design.feedback_resistance * rs)
-            # OTA input noise referred to the RF input through the voltage gain.
-            gain_voltage = conversion * design.feedback_resistance
-            ota_psd = 2.0 * self.tia.ota.input_noise_density ** 2
-            source_psd = 4.0 * BOLTZMANN * technology.temperature * rs
-            factor += ota_psd / (source_psd * gain_voltage ** 2)
-        else:
-            conversion = SWITCHING_FACTOR * gm_eff
-            factor += 2.0 / (conversion ** 2 * design.load_resistance * rs)
-
-        return float(noise_figure_from_factor(factor))
-
     def flicker_corner_hz(self) -> float:
         """1/f corner frequency of the current mode (Hz)."""
         return self.spec_intermediates().flicker_corner_hz
@@ -439,14 +561,13 @@ class ReconfigurableMixer:
     def noise_figure_db_array(self, if_frequency: float | np.ndarray) -> np.ndarray:
         """Vectorized DSB noise figure (dB) over an IF frequency array.
 
-        One call evaluates the whole Fig. 9 NF curve; the scalar
-        :meth:`noise_figure_db` wraps this method, so both paths agree
+        One call evaluates the whole Fig. 9 NF curve, as a block of one
+        through :func:`noise_figure_db_block`; the scalar
+        :meth:`noise_figure_db` wraps this method, so every path agrees
         exactly.
         """
-        intermediates = self.spec_intermediates()
-        return np.asarray(nf_with_flicker(intermediates.white_nf_db,
-                                          intermediates.flicker_corner_hz,
-                                          np.asarray(if_frequency, dtype=float)))
+        return noise_figure_db_block([self.spec_intermediates()],
+                                     if_frequency)[0]
 
     def noise_figure_db(self, if_frequency: float | None = None) -> float:
         """DSB noise figure (dB) at an IF frequency, including the 1/f rise."""
@@ -484,21 +605,6 @@ class ReconfigurableMixer:
         """
         return self.spec_intermediates().iip3_dbm
 
-    def _compute_iip3_dbm(self) -> float:
-        contributions_dbm = [self.gm_stage_iip3_dbm(),
-                             self.switching_quad.iip3_dbm(self._mode),
-                             self.output_stage_iip3_dbm()]
-        inverse_sum = 0.0
-        for value in contributions_dbm:
-            if math.isinf(value):
-                continue
-            amplitude = float(vpeak_from_dbm(value))
-            inverse_sum += 1.0 / (amplitude ** 2)
-        if inverse_sum == 0.0:
-            return math.inf
-        total_amplitude = math.sqrt(1.0 / inverse_sum)
-        return float(dbm_from_vpeak(total_amplitude))
-
     def iip2_dbm(self) -> float:
         """Input-referred IIP2 (dBm), limited by differential mismatch.
 
@@ -507,15 +613,6 @@ class ReconfigurableMixer:
         Gm device scaled by the fractional mismatch.
         """
         return self.spec_intermediates().iip2_dbm
-
-    def _compute_iip2_dbm(self) -> float:
-        coefficients = self.transconductor.taylor_coefficients()
-        mismatch = self.design.differential_mismatch
-        if mismatch <= 0 or coefficients.g2 == 0.0:
-            return math.inf
-        single_ended_aiip2 = abs(coefficients.g1 / coefficients.g2)
-        balanced_aiip2 = single_ended_aiip2 / mismatch
-        return float(dbm_from_vpeak(balanced_aiip2))
 
     def p1db_dbm(self) -> float:
         """Analytic estimate of the input 1 dB compression point (dBm).
@@ -526,26 +623,11 @@ class ReconfigurableMixer:
         """
         return self.spec_intermediates().p1db_dbm
 
-    def _compute_p1db_dbm(self, iip3_dbm: float) -> float:
-        candidates = [iip3_dbm - 9.6]
-        gain = SWITCHING_FACTOR * self._effective_gm() * self._load_resistance()
-        # The output limiter used by the waveform model is a hard (6th-order)
-        # clip, which reaches 1 dB of compression when the ideal output is at
-        # about 98 % of the swing limit.
-        swing_limited_input = 0.98 * self.design.output_swing_limit / gain
-        candidates.append(float(dbm_from_vpeak(swing_limited_input)))
-        return min(candidates)
-
     # -- power -----------------------------------------------------------------------------
 
     def power_mw(self) -> float:
         """Supply power of the current mode (mW); see :mod:`repro.core.power`."""
         return self.spec_intermediates().power_mw
-
-    def _compute_power_mw(self) -> float:
-        from repro.core.power import PowerBudget
-
-        return PowerBudget(self.design).total_mw(self._mode)
 
     # -- aggregate -----------------------------------------------------------------------------
 

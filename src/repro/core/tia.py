@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.core.config import MixerDesign
 from repro.devices.passives import Capacitor, Resistor, feedback_impedance
-from repro.rf.filters import FirstOrderLowPass
 from repro.units import db_from_voltage_ratio, voltage_ratio_from_db
 
 
@@ -126,18 +125,6 @@ class TransimpedanceAmplifier:
         """-3 dB IF bandwidth set by the R_F C_F pole (Hz)."""
         return self.feedback_capacitor.pole_frequency(
             self.design.feedback_resistance)
-
-    def if_response(self) -> FirstOrderLowPass:
-        """The first-order IF low-pass response (anti-aliasing filter)."""
-        return FirstOrderLowPass(dc_gain=1.0, pole_frequency=self.if_bandwidth)
-
-    def if_magnitude(self, frequency: float | np.ndarray) -> float | np.ndarray:
-        """Magnitude of the IF low-pass at ``frequency`` (scalar or array).
-
-        Array inputs are evaluated in one vectorized pass — the sweep engine
-        uses this to shape whole Fig. 9 IF grids without per-point calls.
-        """
-        return self.if_response().magnitude(frequency)
 
     # -- closed-loop quantities ----------------------------------------------------
 

@@ -576,8 +576,18 @@ class TransconductanceAmplifier:
         """
         low_edge, high_edge = self.band_edges(coupling_capacitance,
                                               output_node_resistance)
-        f = np.asarray(rf_frequency, dtype=float)
-        highpass = (f / low_edge) / np.sqrt(1.0 + (f / low_edge) ** 2)
-        lowpass = 1.0 / np.sqrt(1.0 + (f / high_edge) ** 4)
-        response = highpass * lowpass
+        response = band_magnitude(np.asarray(rf_frequency, dtype=float),
+                                  low_edge, high_edge)
         return response if np.ndim(rf_frequency) else float(response)
+
+
+def band_magnitude(f: np.ndarray, low_edge, high_edge) -> np.ndarray:
+    """The RF band-pass magnitude at ``f`` for the given band edges (Hz).
+
+    First-order high-pass at ``low_edge`` times second-order low-pass at
+    ``high_edge``.  All three arguments broadcast, so per-design band edges
+    on a leading axis shape a whole design block's RF grids in one call.
+    """
+    highpass = (f / low_edge) / np.sqrt(1.0 + (f / low_edge) ** 2)
+    lowpass = 1.0 / np.sqrt(1.0 + (f / high_edge) ** 4)
+    return highpass * lowpass

@@ -6,12 +6,14 @@ frequency** without per-point Python loops.  The split of labour is:
 
 * everything that does not depend on the swept frequencies (device sizing,
   bias solutions, effective gm, noise floors, linearity intercepts, power)
-  is computed **once per (design, mode) cell** through
-  :meth:`ReconfigurableMixer.spec_intermediates` and memoized on the mixer;
+  is computed in **one array pass per mode** over every design whose cell
+  is not yet solved (:func:`~repro.core.reconfigurable_mixer.spec_block`)
+  and memoized on each mixer as a ``SpecIntermediates`` record;
 * the frequency-shaped specs (conversion gain, noise figure) are then
-  evaluated over the whole RF x IF plane in **one NumPy broadcast call**
-  via the array accessors (:meth:`conversion_gain_db_array`,
-  :meth:`noise_figure_db_array`);
+  evaluated over the whole design x RF x IF slab of a mode in **one NumPy
+  broadcast call** via the block forms
+  (:func:`~repro.core.reconfigurable_mixer.conversion_gain_db_block`,
+  :func:`~repro.core.reconfigurable_mixer.noise_figure_db_block`);
 * frequency-flat specs (IIP3, P1dB, power, band edges) are broadcast across
   the plane so every spec array shares one labelled shape.
 
@@ -38,8 +40,10 @@ import numpy as np
 from repro.core.config import MixerDesign, MixerMode
 from repro.core.reconfigurable_mixer import (
     ReconfigurableMixer,
-    SpecIntermediates,
+    conversion_gain_db_block,
+    noise_figure_db_block,
     seed_gm_widths,
+    spec_block,
 )
 from repro.core.transconductance import solve_widths
 from repro.sweep.cache import SpecCache, resolve_cache
@@ -94,10 +98,6 @@ class SweepRunner:
         # Mixers (and with them every sizing/bias solution and memoized
         # intermediate) are kept per design record across run() calls.
         self._mixers: dict[MixerDesign, ReconfigurableMixer] = {}
-        # (design, mode) cells the pre-sizing pass already checked the disk
-        # cache for and missed; _cell_intermediates skips the redundant
-        # second load so the cache counters see each cell exactly once.
-        self._presize_misses: set[tuple[MixerDesign, MixerMode]] = set()
 
     # -- mixer cache ---------------------------------------------------------
 
@@ -158,18 +158,28 @@ class SweepRunner:
         data = {spec: np.empty(shape, dtype=float) for spec in self.specs}
 
         self._presize(design_records, mode_members, design_axis.values)
-        for design_index, record in enumerate(design_records):
-            mixer = self.mixer_for(record)
-            for mode_index, mode in enumerate(mode_members):
-                mixer.set_mode(mode)
-                cell = (design_index, mode_index)
-                self._fill_cell(mixer, record, data, cell, rf, if_)
+        self._solve_cells(design_records, mode_members)
+        mixers = [self.mixer_for(record) for record in design_records]
+        for mode_index, mode in enumerate(mode_members):
+            cells = [mixer.peek_intermediates(mode) for mixer in mixers]
+            for spec in self.specs:
+                if spec == "conversion_gain_db":
+                    values = conversion_gain_db_block(
+                        mixers, cells, rf[:, None], if_[None, :])
+                elif spec == "noise_figure_db":
+                    values = noise_figure_db_block(cells, if_)[:, None, :]
+                else:
+                    # Flat specs share their name with a SpecIntermediates
+                    # field.
+                    values = np.array([getattr(cell, spec)
+                                       for cell in cells])[:, None, None]
+                data[spec][:, mode_index] = values
 
         axes = (design_axis, mode_axis, rf_axis, if_axis)
         return SweepResult(axes, data)
 
     #: Minimum number of unsolved designs before the batched width solver
-    #: takes over from the lazy per-cell scalar path.  A single design gains
+    #: takes over from the lazy scalar sizing path.  A single design gains
     #: nothing from batching, so spot sweeps stay on the scalar solver.
     _BATCH_THRESHOLD = 2
 
@@ -179,7 +189,7 @@ class SweepRunner:
         """Batch-solve Gm widths for every design the cache cannot cover.
 
         One :func:`~repro.core.transconductance.solve_widths` call sizes the
-        whole unsolved block of the design axis before the cell loop runs —
+        whole unsolved block of the design axis before the spec blocks run —
         the N x 80 scalar bisection steps collapse into 80 array steps.  A
         design only joins the block when at least one of its modes is served
         by neither the mixer memo nor the disk cache (cache hits seed the
@@ -203,13 +213,11 @@ class SweepRunner:
             for mode in modes:
                 if mixer.peek_intermediates(mode) is not None:
                     continue
-                if self.cache is not None and \
-                        (record, mode) not in self._presize_misses:
+                if self.cache is not None:
                     cached = self.cache.load(record, mode)
                     if cached is not None:
                         mixer.seed_intermediates(cached)
                         continue
-                    self._presize_misses.add((record, mode))
                 covered = False
             if covered or mixer.gm_device_sized():
                 continue
@@ -222,45 +230,29 @@ class SweepRunner:
         seed_gm_widths(pending_mixers, widths)
         return len(pending_records)
 
-    def _cell_intermediates(self, mixer: ReconfigurableMixer,
-                            record: MixerDesign) -> SpecIntermediates:
-        """Solve (or load) the frequency-independent scalars for one cell.
+    def _solve_cells(self, records: Sequence[MixerDesign],
+                     modes: Sequence[MixerMode]) -> None:
+        """Solve every (design, mode) cell the mixer memo still lacks.
 
-        Without a cache this is plain ``mixer.spec_intermediates()``.  With
-        one, a hit seeds the mixer's in-memory memo — so the vectorized
-        accessors below never trigger a sizing bisection — and a miss stores
-        the freshly solved cell for every later run and every sibling shard.
-        The memo is consulted first (the pre-sizing pass already seeded it
-        from the cache where possible), so each cell costs at most one disk
-        read per process.
+        The pre-sizing pass already seeded whatever the disk cache holds, so
+        the cells left are computed: one :func:`~repro.core.\
+reconfigurable_mixer.spec_block` per mode over the distinct designs that
+        need it.  Each new cell seeds its mixer's memo and, with a cache,
+        is stored for every later run and every sibling shard.  The lazy
+        Gm-stage solves run first, cell by cell in (design, mode) order, so
+        a failing design raises its sizing or convergence error in that
+        order.
         """
-        cached = mixer.peek_intermediates(mixer.mode)
-        if cached is not None:
-            return cached
-        if self.cache is None:
-            return mixer.spec_intermediates()
-        if (record, mixer.mode) not in self._presize_misses:
-            loaded = self.cache.load(record, mixer.mode)
-            if loaded is not None:
-                mixer.seed_intermediates(loaded)
-                return loaded
-        intermediates = mixer.spec_intermediates()
-        self.cache.store(record, mixer.mode, intermediates)
-        return intermediates
-
-    def _fill_cell(self, mixer: ReconfigurableMixer, record: MixerDesign,
-                   data: dict[str, np.ndarray], cell: tuple[int, int],
-                   rf: np.ndarray, if_: np.ndarray) -> None:
-        """Evaluate every configured spec for one (design, mode) cell."""
-        intermediates = self._cell_intermediates(mixer, record)
-        plane = (rf.size, if_.size)
-        for spec in self.specs:
-            if spec == "conversion_gain_db":
-                data[spec][cell] = mixer.conversion_gain_db_array(
-                    rf[:, None], if_[None, :])
-            elif spec == "noise_figure_db":
-                data[spec][cell] = np.broadcast_to(
-                    mixer.noise_figure_db_array(if_)[None, :], plane)
-            else:
-                # Flat specs share their name with a SpecIntermediates field.
-                data[spec][cell] = getattr(intermediates, spec)
+        pending: dict[MixerMode, dict[MixerDesign, ReconfigurableMixer]] = {}
+        for record in dict.fromkeys(records):
+            mixer = self.mixer_for(record)
+            for mode in modes:
+                if mixer.peek_intermediates(mode) is None:
+                    mixer.gm_stage(mode).taylor_coefficients()
+                    pending.setdefault(mode, {})[record] = mixer
+        for mode, block in pending.items():
+            cells = spec_block(list(block.values()), mode)
+            for (record, mixer), intermediates in zip(block.items(), cells):
+                mixer.seed_intermediates(intermediates)
+                if self.cache is not None:
+                    self.cache.store(record, mode, intermediates)

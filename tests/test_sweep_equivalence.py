@@ -1,10 +1,11 @@
 """Vectorized-vs-scalar equivalence for the spec accessors and the sweep engine.
 
-The scalar spec accessors are thin wrappers over the array variants, so the
-two paths must agree to machine precision — these tests pin that contract at
-1e-9 across modes, frequency decades and design variations, both by dense
-grid sampling and (when hypothesis is installed) by property-based search
-over the frequency plane.
+The scalar spec accessors are blocks of one through the same block spec
+code the sweep engine runs over whole design axes, so the two paths must
+agree exactly — these tests pin that contract bit for bit across modes,
+frequency decades and design variations, both by dense grid sampling and
+(when hypothesis is installed) by property-based search over the frequency
+plane.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from repro.core.config import MixerDesign, MixerMode
 from repro.core.reconfigurable_mixer import ReconfigurableMixer
 from repro.devices.technology import fast_corner, slow_corner
 from repro.sweep import SweepRunner
-
-TOLERANCE = 1e-9
 
 #: Design variations the equivalence must hold for: the nominal point, a
 #: re-tuned gain setting, a strongly degenerated passive path, and the two
@@ -61,14 +60,14 @@ class TestGridSampledEquivalence:
         for i in range(0, RF_GRID.size, 8):
             for j in range(0, IF_GRID.size, 8):
                 scalar = mixer.conversion_gain_db(RF_GRID[i], IF_GRID[j])
-                assert abs(plane[i, j] - scalar) <= TOLERANCE
+                assert plane[i, j] == scalar
 
     def test_noise_figure_curve(self, label: str, mode: MixerMode) -> None:
         mixer = _MIXERS[label]
         mixer.set_mode(mode)
         curve = mixer.noise_figure_db_array(IF_GRID)
         scalars = np.array([mixer.noise_figure_db(f) for f in IF_GRID])
-        assert np.max(np.abs(curve - scalars)) <= TOLERANCE
+        assert curve.tobytes() == scalars.tobytes()
 
     def test_flat_specs_match_scalar_accessors(self, label: str,
                                                mode: MixerMode) -> None:
@@ -96,7 +95,7 @@ class TestRunnerEquivalence:
                                for f in frequencies])
             _, vectorized = sweep.curve("conversion_gain_db",
                                         "rf_frequency_hz", mode=mode)
-            assert np.max(np.abs(vectorized - scalar)) <= TOLERANCE
+            assert vectorized.tobytes() == scalar.tobytes()
 
     def test_design_axis_against_fresh_mixers(self) -> None:
         sweep = SweepRunner(MixerDesign(),
@@ -110,10 +109,9 @@ class TestRunnerEquivalence:
                                           design=label, mode=mode)
                 scalars = np.array([mixer.noise_figure_db(f)
                                     for f in IF_GRID[::6]])
-                assert np.max(np.abs(nf_curve - scalars)) <= TOLERANCE
+                assert nf_curve.tobytes() == scalars.tobytes()
                 assert sweep.value("iip3_dbm", design=label, mode=mode,
-                                   if_frequency_hz=5e6) == \
-                    pytest.approx(mixer.iip3_dbm(), abs=TOLERANCE)
+                                   if_frequency_hz=5e6) == mixer.iip3_dbm()
 
 
 # -- property-based search over the frequency plane -------------------------
@@ -130,13 +128,13 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 )
 def test_property_conversion_gain_equivalence(rf_hz: float, if_hz: float,
                                               mode: MixerMode) -> None:
-    """Any (rf, if, mode) point: scalar wrapper == array variant to 1e-9."""
+    """Any (rf, if, mode) point: scalar wrapper == array variant, exactly."""
     mixer = _MIXERS["nominal"]
     mixer.set_mode(mode)
     scalar = mixer.conversion_gain_db(rf_hz, if_hz)
     array = mixer.conversion_gain_db_array(np.array([rf_hz]),
                                            np.array([if_hz]))
-    assert abs(float(array[0]) - scalar) <= TOLERANCE
+    assert float(array[0]) == scalar
 
 
 @settings(max_examples=60, deadline=None)
@@ -146,9 +144,9 @@ def test_property_conversion_gain_equivalence(rf_hz: float, if_hz: float,
 )
 def test_property_noise_figure_equivalence(if_hz: float,
                                            mode: MixerMode) -> None:
-    """Any (if, mode) point: scalar NF == array NF to 1e-9."""
+    """Any (if, mode) point: scalar NF == array NF, exactly."""
     mixer = _MIXERS["nominal"]
     mixer.set_mode(mode)
     scalar = mixer.noise_figure_db(if_hz)
     array = mixer.noise_figure_db_array(np.array([if_hz]))
-    assert abs(float(array[0]) - scalar) <= TOLERANCE
+    assert float(array[0]) == scalar
