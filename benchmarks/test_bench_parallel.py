@@ -2,7 +2,7 @@
 
 Two acceptance gates from the scale-up work:
 
-* :class:`~repro.sweep.parallel.ParallelSweepRunner` must produce
+* :class:`~repro.sweep.parallel.ShardedRunner` must produce
   **bit-identical** results to the single-process runner on a Monte-Carlo
   design grid, and — given real cores — cut wall-clock by >= 2x;
 * a **warm** on-disk cache must skip every sizing bisection (asserted via
@@ -28,7 +28,7 @@ from conftest import record_comparison
 from repro.core.transconductance import sizing_solve_count
 from repro.sweep import (
     DeviceSpread,
-    ParallelSweepRunner,
+    ShardedRunner,
     SweepRunner,
     sample_design,
 )
@@ -64,7 +64,7 @@ def test_bench_parallel_equality(design) -> None:
     """Sharded results must match the single-process runner bit for bit."""
     designs = _designs(design, 8)
     single = SweepRunner(design).run(rf_frequencies=_grid(), designs=designs)
-    sharded = ParallelSweepRunner(design, workers=4).run(
+    sharded = ShardedRunner(SweepRunner, design, workers=4).run(
         rf_frequencies=_grid(), designs=designs)
     for spec in single.spec_names:
         np.testing.assert_array_equal(sharded.data[spec], single.data[spec])
@@ -85,7 +85,7 @@ def test_bench_parallel_speedup(design, request) -> None:
     single_time = time.perf_counter() - start
 
     start = time.perf_counter()
-    sharded = ParallelSweepRunner(design, workers=workers).run(
+    sharded = ShardedRunner(SweepRunner, design, workers=workers).run(
         rf_frequencies=_grid(), designs=designs)
     parallel_time = time.perf_counter() - start
 

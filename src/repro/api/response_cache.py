@@ -8,22 +8,23 @@ remembers the **entire encoded answer** to a request, keyed on
 identical request never reaches the engine at all (zero sizing bisections,
 asserted in ``tests/test_api.py``).
 
-Both tiers follow the same discipline as the spec cache: content-addressed
-keys (the request key already folds in :data:`~repro.api.request.\
-API_VERSION`), atomic writes, and corrupt entries degrading to recompute.
+The request key already folds in :data:`~repro.api.request.API_VERSION`.
 The in-memory tier is a bounded LRU so a long-lived server keeps its hot
-designs resident without growing unboundedly; the disk tier is shared by
-every service instance pointed at the directory (CLI runs, server restarts).
+designs resident without growing unboundedly.  The disk tier is a
+:class:`~repro.sweep.cache.ContentStore` — the engine stores' read/write
+path, with atomic writes and every unreadable entry a counted miss — whose
+entries are named by the request key.  It is shared by every service
+instance pointed at the directory (CLI runs, server restarts).
 """
 
 from __future__ import annotations
 
-import json
 import threading
 from collections import OrderedDict
 from pathlib import Path
 
-from repro.sweep.cache import atomic_write_json
+from repro.api.request import API_VERSION
+from repro.sweep.cache import ContentStore
 
 #: Default capacity of the in-memory LRU tier.
 DEFAULT_LRU_SIZE = 128
@@ -49,20 +50,16 @@ class ResponseCache:
         if lru_size < 0:
             raise ValueError("lru_size must be non-negative")
         self.directory = Path(directory) if directory is not None else None
+        self._disk = ContentStore(directory) if directory is not None \
+            else None
         self.lru_size = int(lru_size)
         self._lock = threading.Lock()
         self._memory: OrderedDict[str, dict] = OrderedDict()
         self.memory_hits = 0
-        self.disk_hits = 0
-        self.misses = 0
         self.stores = 0
-        self.corrupt = 0
-
-    # -- keys -----------------------------------------------------------------
-
-    def _path(self, key: str) -> Path:
-        assert self.directory is not None
-        return self.directory / f"{key}.json"
+        # Lookups that missed a memory-only cache; with a disk tier every
+        # memory miss is a disk lookup, tallied by the disk store.
+        self._memory_misses = 0
 
     # -- load / store ---------------------------------------------------------
 
@@ -70,8 +67,9 @@ class ResponseCache:
         """``(entry, tier)`` for a request key, or ``None`` on miss.
 
         ``tier`` is ``"memory"`` or ``"disk"``.  A disk hit is promoted into
-        the memory tier.  Any unreadable or malformed disk entry counts as
-        corrupt and misses (the next store overwrites it).
+        the memory tier.  Any unreadable or malformed disk entry — or one
+        stored under another key or API version — counts as corrupt and
+        misses (the next store overwrites it).
         """
         with self._lock:
             entry = self._memory.get(key)
@@ -79,33 +77,21 @@ class ResponseCache:
                 self._memory.move_to_end(key)
                 self.memory_hits += 1
                 return entry, "memory"
-        if self.directory is None:
-            with self._lock:
-                self.misses += 1
-            return None
-        try:
-            text = self._path(key).read_text(encoding="utf-8")
-        except FileNotFoundError:
-            with self._lock:
-                self.misses += 1
-            return None
-        except OSError:
-            with self._lock:
-                self.corrupt += 1
-                self.misses += 1
-            return None
-        try:
-            entry = json.loads(text)
-            if not isinstance(entry, dict) or entry.get("request_key") != key:
+            if self._disk is None:
+                self._memory_misses += 1
+                return None
+
+        def decode(entry) -> dict:
+            if not isinstance(entry, dict) or entry.get("request_key") != key \
+                    or entry.get("api_version", API_VERSION) != API_VERSION:
                 raise ValueError("malformed response-cache entry")
-        except ValueError:
-            with self._lock:
-                self.corrupt += 1
-                self.misses += 1
+            return entry
+
+        entry = self._disk.read(key, decode)
+        if entry is None:
             return None
         with self._lock:
             self._remember(key, entry)
-            self.disk_hits += 1
         return entry, "disk"
 
     def store(self, key: str, entry: dict) -> None:
@@ -115,9 +101,8 @@ class ResponseCache:
         with self._lock:
             self._remember(key, entry)
             self.stores += 1
-        if self.directory is None:
-            return
-        atomic_write_json(self._path(key), entry)
+        if self._disk is not None:
+            self._disk.write(key, entry)
 
     def _remember(self, key: str, entry: dict) -> None:
         """Insert into the LRU tier, evicting the least recent past capacity."""
@@ -129,6 +114,21 @@ class ResponseCache:
             self._memory.popitem(last=False)
 
     # -- introspection --------------------------------------------------------
+
+    def _disk_counts(self) -> dict[str, int]:
+        if self._disk is None:
+            return {"hits": 0, "misses": 0, "corrupt": 0}
+        return self._disk.counts()
+
+    @property
+    def misses(self) -> int:
+        """Lookups neither tier answered."""
+        return self._memory_misses + self._disk_counts()["misses"]
+
+    @property
+    def corrupt(self) -> int:
+        """Disk entries that could not be read back (each also a miss)."""
+        return self._disk_counts()["corrupt"]
 
     @property
     def memory_size(self) -> int:
@@ -151,17 +151,19 @@ class ResponseCache:
         between reading ``memory_hits`` and ``misses`` skews the rate).
         """
         with self._lock:
-            hits = self.memory_hits + self.disk_hits
-            lookups = hits + self.misses
+            disk = self._disk_counts()
+            misses = self._memory_misses + disk["misses"]
+            hits = self.memory_hits + disk["hits"]
+            lookups = hits + misses
             return {
                 "memory_entries": len(self._memory),
                 "lru_size": self.lru_size,
                 "disk_tier": self.directory is not None,
                 "memory_hits": self.memory_hits,
-                "disk_hits": self.disk_hits,
-                "misses": self.misses,
+                "disk_hits": disk["hits"],
+                "misses": misses,
                 "stores": self.stores,
-                "corrupt": self.corrupt,
+                "corrupt": disk["corrupt"],
                 "hit_rate": hits / lookups if lookups else 0.0,
             }
 

@@ -6,7 +6,7 @@ registry, answers repeated requests from a two-tier response cache without
 touching the engine (zero sizing bisections — the acceptance bar from the
 sweep-cache work, lifted to whole requests), dispatches misses to the
 ``run_*`` drivers, and fans batch requests over the same design axis out
-through the sweep engine's :class:`~repro.sweep.parallel.ParallelSweepRunner`
+through the engines' :class:`~repro.sweep.parallel.ShardedRunner`
 when the experiment supports it.
 
 The in-process, HTTP (:mod:`repro.serve`) and CLI (:mod:`repro.cli`)
@@ -265,7 +265,7 @@ class MixerService:
         one group; when the experiment registers a ``batch_runner``, the
         whole group's designs run as **one design axis** through the sweep
         engine — sharded across processes by
-        :class:`~repro.sweep.parallel.ParallelSweepRunner` when ``workers``
+        :class:`~repro.sweep.parallel.ShardedRunner` when ``workers``
         (or the per-request/service default) asks for it — instead of N
         sequential runs.  Per-design results are bit-identical to individual
         :meth:`submit` calls either way, so cached and computed members of a

@@ -22,11 +22,13 @@ maths riding the same sweep architecture as the analog benches:
   :class:`~repro.sweep.result.SweepResult` subclass over design x mode x
   :data:`~repro.digital.result.BITS_AXIS`;
 * :mod:`repro.digital.cache` — :class:`DigitalIfCache`, the
-  content-addressed on-disk store keyed on design fingerprint + mode +
-  digital plan hash: warm re-runs perform zero quantization passes;
-* :mod:`repro.digital.parallel` — :class:`ParallelDigitalRunner` and
-  :func:`make_digital_runner`, sharding the design axis across processes
-  with bit-identical stitched results.
+  content-addressed on-disk codec keyed on design fingerprint + mode +
+  digital plan hash: warm re-runs perform zero quantization passes.
+
+Design-axis sharding is the shared
+:class:`~repro.sweep.parallel.ShardedRunner`:
+``make_runner(design, workers=N, engine=DigitalIfRunner)`` returns one,
+with bit-identical stitched results.
 
 The ``digital_if`` and ``bits_floor`` experiment drivers
 (:mod:`repro.experiments`) and the ``digital_snr_db`` yield-optimizer
@@ -49,18 +51,12 @@ from repro.digital.blocks import (
     round_shift,
     wrap_to_width,
 )
-from repro.digital.cache import (
-    DIGITAL_CACHE_VERSION,
-    DigitalIfCache,
-    default_digital_cache_dir,
-    resolve_digital_cache,
-)
+from repro.digital.cache import DIGITAL_CACHE_VERSION, DigitalIfCache
 from repro.digital.engine import (
     DigitalIfRunner,
     digital_pass_count,
     evaluate_digital,
 )
-from repro.digital.parallel import ParallelDigitalRunner, make_digital_runner
 from repro.digital.plan import (
     DEFAULT_ADC_FULL_SCALE,
     DIGITAL_MEASURES,
@@ -80,17 +76,14 @@ __all__ = [
     "DigitalIfPlan",
     "DigitalIfRunner",
     "DigitalResult",
-    "ParallelDigitalRunner",
     "cic_decimate",
     "cic_decimate_float",
     "cic_decimate_reference",
     "cic_growth_bits",
-    "default_digital_cache_dir",
     "digital_if_plan",
     "digital_pass_count",
     "evaluate_digital",
     "float_lo",
-    "make_digital_runner",
     "mix_complex",
     "nco_lo_codes",
     "nco_phases",
@@ -98,7 +91,6 @@ __all__ = [
     "phase_increment",
     "quantize_midrise",
     "quantize_midrise_reference",
-    "resolve_digital_cache",
     "round_shift",
     "wrap_to_width",
 ]

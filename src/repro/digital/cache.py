@@ -2,193 +2,33 @@
 
 The expensive part of a digital cell is the quantization pass — tiling the
 tapped time-domain block, quantizing every ADC width, running the
-fixed-point mix and CIC, and building the float reference alongside.  This
-module persists the resulting measure arrays per **(design, mode, digital
-plan)** cell, keyed on a content hash of
+fixed-point mix and CIC, and building the float reference alongside.
+:class:`DigitalIfCache` persists the resulting measure arrays per
+**(design, mode, digital plan)** cell, keyed on a content hash of
+:meth:`MixerDesign.fingerprint`, the mode,
+:meth:`DigitalIfPlan.content_hash` (which covers the embedded analog
+stimulus and every digital parameter) and :data:`DIGITAL_CACHE_VERSION`.
+A warm re-run of a digital-IF sweep therefore performs **zero quantization
+passes** (observable through :func:`repro.digital.engine.digital_pass_count`).
 
-* :meth:`MixerDesign.fingerprint` (stable SHA-256 of the design record),
-* the :class:`~repro.core.config.MixerMode`,
-* :meth:`DigitalIfPlan.content_hash` (which itself covers the embedded
-  analog stimulus plan and every digital parameter), and
-* :data:`DIGITAL_CACHE_VERSION`,
-
-so a warm re-run of a digital-IF sweep performs **zero quantization
-passes** (observable through :func:`repro.digital.engine.digital_pass_count`,
-mirroring the waveform cache's zero-FFT bar).  The storage discipline is
-shared with :class:`~repro.sweep.cache.SpecCache` and
-:class:`~repro.waveform.cache.WaveformCache`: atomic writes, corrupt or
-mismatched entries degrade to a recompute, and the ``REPRO_SWEEP_CACHE=off``
-kill-switch disables this cache too.  All three caches can share one
-directory — their key payloads differ, so entries never collide.
+It is a :class:`~repro.sweep.cache.MeasureCache` codec: the read/write
+path, the corruption handling and the ``REPRO_SWEEP_CACHE`` switches are
+those of :class:`~repro.sweep.cache.ContentStore`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-from pathlib import Path
-
-import numpy as np
-
-from repro.core.config import MixerDesign, MixerMode
-from repro.digital.plan import DigitalIfPlan
-from repro.sweep.cache import (
-    DIRECTORY_ENV,
-    SpecCache,
-    atomic_write_json,
-    cache_disabled_by_env,
-)
-from repro.waveform.cache import WaveformCache
+from repro.sweep.cache import MeasureCache
 
 #: Schema/semantics version of the cached payloads; bump on any change to
 #: what the cached measures mean — old entries then miss and are recomputed.
 DIGITAL_CACHE_VERSION = 1
 
 
-def default_digital_cache_dir() -> Path:
-    """The directory used when caching is requested without an explicit path.
+class DigitalIfCache(MeasureCache):
+    """Store of per-(design, mode, plan) measure arrays, one per ADC width."""
 
-    Honours the same ``REPRO_SWEEP_CACHE_DIR`` override as the spec and
-    waveform caches (the three coexist in one directory without
-    collisions); the fallback is a sibling of the other cache directories.
-    """
-    override = os.environ.get(DIRECTORY_ENV, "").strip()
-    if override:
-        return Path(override)
-    return Path.home() / ".cache" / "repro-mixer" / "digital-measures"
-
-
-class DigitalIfCache:
-    """Directory-backed store of per-(design, mode, plan) digital measures.
-
-    The per-instance ``hits`` / ``misses`` / ``stores`` / ``corrupt``
-    counters cover this process only — the directory itself may be shared
-    with other processes (parallel digital shards write atomically).
-    """
-
-    def __init__(self, directory: str | Path) -> None:
-        self.directory = Path(directory)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.corrupt = 0
-
-    # -- keys -----------------------------------------------------------------
-
-    def _key(self, fingerprint: str, mode: MixerMode, plan_hash: str) -> str:
-        payload = json.dumps(
-            {"digital_cache_version": DIGITAL_CACHE_VERSION,
-             "design": fingerprint,
-             "mode": mode.value,
-             "plan": plan_hash},
-            sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-    def entry_key(self, design: MixerDesign, mode: MixerMode,
-                  plan: DigitalIfPlan) -> str:
-        """Content hash naming the entry for one (design, mode, plan) cell."""
-        return self._key(design.fingerprint(), mode, plan.content_hash())
-
-    def entry_path(self, design: MixerDesign, mode: MixerMode,
-                   plan: DigitalIfPlan) -> Path:
-        """Filesystem path of the entry for one (design, mode, plan) cell."""
-        return self.directory / f"{self.entry_key(design, mode, plan)}.json"
-
-    # -- load / store ---------------------------------------------------------
-
-    def load(self, design: MixerDesign, mode: MixerMode,
-             plan: DigitalIfPlan) -> dict[str, np.ndarray] | None:
-        """The cached measures for a cell, or ``None`` on miss/corruption.
-
-        Every failure mode — missing/unreadable file, malformed JSON, wrong
-        version/fingerprint/plan, missing measures, wrong lengths — degrades
-        to a miss so the caller recomputes (and the subsequent :meth:`store`
-        replaces the bad entry).
-        """
-        path = self.entry_path(design, mode, plan)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except OSError:
-            self.corrupt += 1
-            self.misses += 1
-            return None
-        try:
-            payload = json.loads(text)
-            if payload["digital_cache_version"] != DIGITAL_CACHE_VERSION:
-                raise ValueError("cache version mismatch")
-            if payload["design_fingerprint"] != design.fingerprint():
-                raise ValueError("design fingerprint mismatch")
-            if payload["plan"] != plan.content_hash():
-                raise ValueError("plan hash mismatch")
-            raw = payload["measures"]
-            measures: dict[str, np.ndarray] = {}
-            for name in plan.measures:
-                values = np.asarray(raw[name], dtype=float)
-                if values.shape != (len(plan.adc_bits),):
-                    raise ValueError(f"measure {name!r} has the wrong length")
-                measures[name] = values
-        except (KeyError, TypeError, ValueError):
-            self.corrupt += 1
-            self.misses += 1
-            return None
-        self.hits += 1
-        return measures
-
-    def store(self, design: MixerDesign, mode: MixerMode, plan: DigitalIfPlan,
-              measures: dict[str, np.ndarray]) -> None:
-        """Persist one evaluated cell, atomically.
-
-        Concurrent shards never observe a half-written entry — at worst they
-        race to install identical content.
-        """
-        missing = sorted(set(plan.measures) - set(measures))
-        if missing:
-            raise ValueError(f"measures are missing {missing} for a "
-                             f"digital-IF plan")
-        atomic_write_json(self.entry_path(design, mode, plan), {
-            "digital_cache_version": DIGITAL_CACHE_VERSION,
-            "design_fingerprint": design.fingerprint(),
-            "mode": mode.value,
-            "plan": plan.content_hash(),
-            "measures": {name: np.asarray(measures[name],
-                                          dtype=float).tolist()
-                         for name in plan.measures},
-        })
-        self.stores += 1
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"DigitalIfCache({str(self.directory)!r}, hits={self.hits}, "
-                f"misses={self.misses}, stores={self.stores})")
-
-
-def resolve_digital_cache(cache) -> DigitalIfCache | None:
-    """Normalise a user-facing ``cache=`` option into a cache (or ``None``).
-
-    Accepted values mirror :func:`repro.waveform.cache.resolve_waveform_cache`:
-    ``None``/``False`` (off — the default), ``True`` (the default
-    directory), a string/``Path``, a :class:`DigitalIfCache`, or a
-    :class:`~repro.sweep.cache.SpecCache` /
-    :class:`~repro.waveform.cache.WaveformCache` — the experiment entry
-    points take **one** ``cache=`` option for every engine, so another
-    cache's directory is adopted for the digital measures too.
-    ``REPRO_SWEEP_CACHE=off`` wins over everything.
-    """
-    if cache is None or cache is False:
-        return None
-    if cache_disabled_by_env():
-        return None
-    if isinstance(cache, DigitalIfCache):
-        return cache
-    if isinstance(cache, (SpecCache, WaveformCache)):
-        return DigitalIfCache(cache.directory)
-    if cache is True:
-        return DigitalIfCache(default_digital_cache_dir())
-    if isinstance(cache, (str, Path)):
-        return DigitalIfCache(cache)
-    raise TypeError(
-        "cache must be None/False, True, a directory path, a DigitalIfCache, "
-        f"a WaveformCache or a SpecCache; got {type(cache).__name__}")
+    default_subdir = "digital-measures"
+    version_field = "digital_cache_version"
+    version = DIGITAL_CACHE_VERSION
+    length_field = "adc_bits"

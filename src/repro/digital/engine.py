@@ -25,7 +25,7 @@ bits** grids with the same memoization ladder as the other engines: analog
 sample blocks memoized per cell inside the shared
 :class:`~repro.waveform.engine.WaveformRunner`, measures per (design, mode,
 digital plan) on disk (:mod:`repro.digital.cache`), and design-axis
-sharding across processes (:mod:`repro.digital.parallel`).
+sharding across processes (:class:`~repro.sweep.parallel.ShardedRunner`).
 
 Every quantization pass bumps a module-level counter
 (:func:`digital_pass_count`), the instrument behind the warm-cache "zero
@@ -49,7 +49,7 @@ from repro.digital.blocks import (
     round_shift,
     wrap_to_width,
 )
-from repro.digital.cache import resolve_digital_cache
+from repro.digital.cache import DigitalIfCache
 from repro.digital.plan import DigitalIfPlan
 from repro.digital.result import BITS_AXIS, DigitalResult
 from repro.sweep.grid import SweepAxis
@@ -198,10 +198,13 @@ class DigitalIfRunner:
         experiment already holds re-uses its memoized mixers and taps.
     """
 
+    #: Progress-frame stage of a sharded run of this engine.
+    stage = "digital"
+
     def __init__(self, design: MixerDesign | None = None, cache=None,
                  waveform: WaveformRunner | None = None) -> None:
         self.design = design if design is not None else MixerDesign()
-        self.cache = resolve_digital_cache(cache)
+        self.cache = DigitalIfCache.resolve(cache)
         self._waveform = waveform if waveform is not None \
             else WaveformRunner(design=self.design)
 

@@ -8,7 +8,7 @@ the NCO and mixer bit widths, and the CIC decimator configuration.  Like
 stimulus plans, digital plans are frozen records of plain numbers, so they
 
 * travel unchanged to the worker processes of
-  :class:`~repro.digital.parallel.ParallelDigitalRunner`,
+  :class:`~repro.sweep.parallel.ShardedRunner`,
 * hash stably (:meth:`DigitalIfPlan.content_hash`) — the hash *includes*
   the embedded stimulus plan's canonical form, so the digital cache key
   covers the analog bench and every digital parameter in one digest — and

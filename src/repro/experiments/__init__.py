@@ -45,11 +45,11 @@ with its own content-addressed cache and design-axis sharding.
 Every engine-backed entry point (``run_fig8`` / ``run_fig9`` /
 ``run_fig10`` / ``run_table1`` / ``run_iip2`` / ``run_p1db`` /
 ``run_monte_carlo``) accepts ``workers=`` and ``cache=``: ``workers``
-shards the design axis across a process pool (:mod:`repro.sweep.parallel` /
-:mod:`repro.waveform.parallel`, bit-identical results) and ``cache``
-persists the per-cell solutions on disk (:mod:`repro.sweep.cache` /
-:mod:`repro.waveform.cache`) so warm re-runs skip the sizing bisections
-*and* the FFT evaluations.
+shards the design axis across a process pool
+(:class:`~repro.sweep.parallel.ShardedRunner`, bit-identical results) and
+``cache`` persists the per-cell solutions on disk (the
+:class:`~repro.sweep.cache.ContentStore` codecs) so warm re-runs skip the
+sizing bisections *and* the FFT evaluations.
 
 The figure/table drivers are each frozen by a golden-regression pin in
 ``tests/test_golden_figures.py`` (see the per-module docstrings for what

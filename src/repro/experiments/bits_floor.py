@@ -33,9 +33,9 @@ import numpy as np
 
 from repro.api.registry import register_experiment
 from repro.core.config import MixerDesign, MixerMode
-from repro.digital import DigitalResult, digital_if_plan, make_digital_runner
+from repro.digital import DigitalIfRunner, DigitalResult, digital_if_plan
 from repro.experiments.common import design_and_runner, resolve_design
-from repro.sweep import SpecCache
+from repro.sweep import SpecCache, make_runner
 from repro.units import ghz, mhz
 
 #: Candidate widths scanned per axis, ascending.
@@ -180,7 +180,8 @@ def sweep_bits_floor(designs: Mapping[str, MixerDesign],
         workers=workers, cache=cache)
     modes = (MixerMode.ACTIVE, MixerMode.PASSIVE)
     analytic = runner.run(modes=modes, designs=dict(designs))
-    digital = make_digital_runner(baseline, workers=workers, cache=cache)
+    digital = make_runner(baseline, workers=workers, cache=cache,
+                          engine=DigitalIfRunner)
 
     # The ADC scan sweeps all candidate resolutions in one vectorized pass
     # (the bits axis); the LO and output scans re-quantize the same memoized

@@ -13,9 +13,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.config import MixerDesign
-from repro.sweep import SpecCache, make_runner
-from repro.sweep.parallel import ParallelSweepRunner
-from repro.sweep.runner import SweepRunner
+from repro.sweep import ShardedRunner, SpecCache, SweepRunner, make_runner
 
 
 def resolve_design(design: MixerDesign | None) -> MixerDesign:
@@ -35,15 +33,13 @@ def resolve_design(design: MixerDesign | None) -> MixerDesign:
 def design_and_runner(design: MixerDesign | None, specs: Sequence[str],
                       workers: int | None = None,
                       cache: SpecCache | str | bool | None = None,
-                      shared_memory: bool = False,
-                      ) -> tuple[MixerDesign, SweepRunner | ParallelSweepRunner]:
+                      ) -> tuple[MixerDesign, SweepRunner | ShardedRunner]:
     """Resolve the design and build the sweep runner for one entry point.
 
-    This is the one place the ``design``/``workers``/``cache`` (and
-    ``shared_memory``) keywords of every sweep-backed ``run_*`` function are
-    interpreted; see :func:`repro.sweep.make_runner` for the
-    runner-selection rules.
+    This is the one place the ``design``/``workers``/``cache`` keywords of
+    every sweep-backed ``run_*`` function are interpreted; see
+    :func:`repro.sweep.make_runner` for the runner-selection rules.
     """
     resolved = resolve_design(design)
     return resolved, make_runner(resolved, specs=specs, workers=workers,
-                                 cache=cache, shared_memory=shared_memory)
+                                 cache=cache)

@@ -17,9 +17,9 @@ waveform is tapped once per cell
 content-hash cached per (design, mode, digital plan)
 (:mod:`repro.digital.cache` — warm re-runs perform zero quantization
 passes), and the design axis shards across processes
-(:mod:`repro.digital.parallel`).  :func:`sweep_digital_if` evaluates whole
-design populations as one design axis (the ``digital_if`` batch adapter);
-per-design results are bit-identical to solo runs.
+(:class:`~repro.sweep.parallel.ShardedRunner`).  :func:`sweep_digital_if`
+evaluates whole design populations as one design axis (the ``digital_if``
+batch adapter); per-design results are bit-identical to solo runs.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ import numpy as np
 
 from repro.api.registry import register_experiment
 from repro.core.config import MixerDesign, MixerMode
-from repro.digital import digital_if_plan, make_digital_runner
+from repro.digital import DigitalIfRunner, digital_if_plan
 from repro.experiments.common import design_and_runner, resolve_design
-from repro.sweep import SpecCache
+from repro.sweep import SpecCache, make_runner
 from repro.units import ghz, mhz
 
 #: Default ADC resolutions swept by the artefact bench.
@@ -152,9 +152,9 @@ def sweep_digital_if(designs: Mapping[str, MixerDesign],
         workers=workers, cache=cache)
     modes = (MixerMode.ACTIVE, MixerMode.PASSIVE)
     analytic = runner.run(modes=modes, designs=dict(designs))
-    digital = make_digital_runner(baseline, workers=workers,
-                                  cache=cache).run(plan, modes=modes,
-                                                   designs=dict(designs))
+    digital = make_runner(baseline, workers=workers, cache=cache,
+                          engine=DigitalIfRunner).run(plan, modes=modes,
+                                                      designs=dict(designs))
 
     results: dict[str, DigitalIfResult] = {}
     for label in designs:

@@ -37,10 +37,10 @@ from repro.api.registry import register_experiment
 from repro.core.config import MixerDesign, MixerMode
 from repro.experiments.common import design_and_runner, resolve_design
 from repro.rf.twotone import fit_intercept_point
-from repro.sweep import SpecCache
+from repro.sweep import SpecCache, make_runner
 from repro.sweep.result import SweepResult
 from repro.units import ghz, mhz
-from repro.waveform import WaveformResult, make_waveform_runner, two_tone_plan
+from repro.waveform import WaveformResult, WaveformRunner, two_tone_plan
 # Canonical definition lives with the stimulus plans; re-exported here for
 # backwards compatibility (iip2/p1db and older callers import from us).
 from repro.waveform.plan import DEFAULT_NUM_SAMPLES, DEFAULT_SAMPLE_RATE
@@ -154,7 +154,8 @@ def sweep_fig10(designs: Mapping[str, MixerDesign],
                           designs=dict(designs))
     plan = two_tone_plan(tone_1_hz, tone_2_hz, powers, sample_rate,
                          num_samples, lo_frequency=lo_frequency_hz)
-    wave = make_waveform_runner(baseline, workers=workers, cache=cache).run(
+    wave = make_runner(baseline, workers=workers, cache=cache,
+                       engine=WaveformRunner).run(
         plan, modes=(MixerMode.PASSIVE, MixerMode.ACTIVE),
         designs=dict(designs))
 

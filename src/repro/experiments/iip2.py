@@ -33,9 +33,9 @@ from repro.core.config import MixerDesign, MixerMode
 from repro.experiments.common import design_and_runner, resolve_design
 from repro.experiments.fig10_iip3 import DEFAULT_NUM_SAMPLES, DEFAULT_SAMPLE_RATE
 from repro.rf.twotone import fit_intercept_point
-from repro.sweep import SpecCache
+from repro.sweep import SpecCache, make_runner
 from repro.units import ghz, mhz
-from repro.waveform import make_waveform_runner, two_tone_plan
+from repro.waveform import WaveformRunner, two_tone_plan
 
 #: The paper's acceptance threshold.
 PAPER_IIP2_FLOOR_DBM = 65.0
@@ -126,7 +126,8 @@ def sweep_iip2(designs: Mapping[str, MixerDesign],
     analytic = runner.run(modes=modes, designs=dict(designs))
     plan = two_tone_plan(tone_1_hz, tone_2_hz, powers, sample_rate,
                          num_samples, lo_frequency=lo_frequency_hz)
-    wave = make_waveform_runner(baseline, workers=workers, cache=cache).run(
+    wave = make_runner(baseline, workers=workers, cache=cache,
+                       engine=WaveformRunner).run(
         plan, modes=modes, designs=dict(designs))
 
     results: dict[str, Iip2Result] = {}

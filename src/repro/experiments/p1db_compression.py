@@ -33,9 +33,9 @@ from repro.core.config import MixerDesign, MixerMode
 from repro.experiments.common import design_and_runner, resolve_design
 from repro.experiments.fig10_iip3 import DEFAULT_NUM_SAMPLES, DEFAULT_SAMPLE_RATE
 from repro.rf.compression import compression_from_gains
-from repro.sweep import SpecCache
+from repro.sweep import SpecCache, make_runner
 from repro.units import ghz, mhz
-from repro.waveform import make_waveform_runner, single_tone_plan
+from repro.waveform import WaveformRunner, single_tone_plan
 
 
 @dataclass
@@ -140,7 +140,8 @@ def sweep_p1db(designs: Mapping[str, MixerDesign],
     plan = single_tone_plan(rf_frequency_hz, powers, sample_rate,
                             num_samples, lo_frequency=lo_frequency_hz,
                             output_frequency=if_frequency_hz)
-    wave = make_waveform_runner(baseline, workers=workers, cache=cache).run(
+    wave = make_runner(baseline, workers=workers, cache=cache,
+                       engine=WaveformRunner).run(
         plan, modes=modes, designs=dict(designs))
 
     results: dict[str, P1dbResult] = {}

@@ -17,10 +17,7 @@ The subsystem that turns the reproduction from "regenerate Table I" into
   Monte-Carlo device-spread model, and :func:`run_pareto_opt`, the
   multi-objective mode maintaining a non-dominated front;
 * :mod:`repro.optimize.pareto` — :class:`Objective` trade-off axes and the
-  :class:`ParetoFront` / :class:`ParetoOptResult` first-class result types;
-* :mod:`repro.optimize.request` — the deprecated :class:`YieldRequest`
-  shim (optimisation requests now travel the standard
-  :class:`~repro.api.request.SpecRequest` envelope).
+  :class:`ParetoFront` / :class:`ParetoOptResult` first-class result types.
 
 Registered as the ``yield_opt`` and ``yield_pareto`` experiments, so both
 searches run in-process, through :class:`~repro.api.service.MixerService`,
@@ -40,7 +37,6 @@ from repro.optimize.pareto import (
     format_pareto_report,
     parse_objectives,
 )
-from repro.optimize.request import YieldRequest
 from repro.optimize.search import (
     DEFAULT_KNOBS,
     EXPERIMENT_NAME,
@@ -83,7 +79,6 @@ __all__ = [
     "TARGETABLE_SPECS",
     "WAVEFORM_SPECS",
     "YieldOptResult",
-    "YieldRequest",
     "default_objectives",
     "default_objectives_wire",
     "default_targets",

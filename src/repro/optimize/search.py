@@ -63,7 +63,7 @@ from repro.api.progress import report_progress
 from repro.api.registry import register_experiment
 from repro.core.config import MixerDesign, MixerMode
 from repro.devices.technology import Technology
-from repro.digital import digital_if_plan, make_digital_runner
+from repro.digital import DigitalIfRunner, digital_if_plan
 from repro.optimize.pareto import (
     Objective,
     ParetoFront,
@@ -84,13 +84,13 @@ from repro.optimize.targets import (
 )
 from repro.rf.compression import compression_from_gains
 from repro.rf.twotone import fit_intercept_point
-from repro.sweep import SpecCache
+from repro.sweep import SpecCache, make_runner
 from repro.sweep.montecarlo import DeviceSpread, sample_design
 from repro.sweep.runner import ALL_SPECS
 from repro.waveform import (
     DEFAULT_NUM_SAMPLES,
     DEFAULT_SAMPLE_RATE,
-    make_waveform_runner,
+    WaveformRunner,
     single_tone_plan,
     two_tone_plan,
 )
@@ -401,7 +401,7 @@ class _CornerScorer:
 
     def __init__(self, design: MixerDesign | None,
                  needs: Sequence[_MetricNeed], *, workers: int | None,
-                 cache, shared_memory: bool) -> None:
+                 cache) -> None:
         self.needs = list(needs)
         self.analytic = [n for n in self.needs
                          if not (n.is_waveform or n.is_digital)]
@@ -418,14 +418,15 @@ class _CornerScorer:
         from repro.experiments.common import design_and_runner, resolve_design
         if self.analytic:
             self.base, self.runner = design_and_runner(
-                design, specs=self.specs, workers=workers, cache=cache,
-                shared_memory=shared_memory)
+                design, specs=self.specs, workers=workers, cache=cache)
         else:
             self.base, self.runner = resolve_design(design), None
-        self.wave_runner = make_waveform_runner(
-            self.base, workers=workers, cache=cache) if self.waveform else None
-        self.digital_runner = make_digital_runner(
-            self.base, workers=workers, cache=cache) if self.digital else None
+        self.wave_runner = make_runner(
+            self.base, workers=workers, cache=cache,
+            engine=WaveformRunner) if self.waveform else None
+        self.digital_runner = make_runner(
+            self.base, workers=workers, cache=cache,
+            engine=DigitalIfRunner) if self.digital else None
 
     def values(self, corner_designs: Mapping[str, MixerDesign]
                ) -> dict[str, np.ndarray]:
@@ -476,8 +477,7 @@ def run_yield_opt(design: MixerDesign | None = None,
                   strategy: str = "shrinking_span",
                   objectives: Sequence | None = None,
                   workers: int | None = None,
-                  cache: SpecCache | str | bool | None = None,
-                  shared_memory: bool = False
+                  cache: SpecCache | str | bool | None = None
                   ) -> YieldOptResult | ParetoOptResult:
     """Search the design knobs for maximum yield against spec targets.
 
@@ -527,11 +527,10 @@ def run_yield_opt(design: MixerDesign | None = None,
         direction]`` arrays) switches to the multi-objective Pareto mode —
         the call is forwarded to :func:`run_pareto_opt` and returns its
         :class:`~repro.optimize.pareto.ParetoOptResult`.
-    workers / cache / shared_memory:
-        Sweep-engine options: process count for the sharded runner, the
-        on-disk :class:`~repro.sweep.cache.SpecCache` of solved cells, and
-        the opt-in shared-memory result hand-off of
-        :class:`~repro.sweep.parallel.ParallelSweepRunner`.
+    workers / cache:
+        Engine options: process count for the
+        :class:`~repro.sweep.parallel.ShardedRunner`, and the on-disk
+        store directory of solved cells (:mod:`repro.sweep.cache`).
     """
     if objectives is not None:
         return run_pareto_opt(design=design, targets=targets,
@@ -540,15 +539,14 @@ def run_yield_opt(design: MixerDesign | None = None,
                               num_samples=num_samples, seed=seed,
                               search_span=search_span, shrink=shrink,
                               strategy=strategy, workers=workers,
-                              cache=cache, shared_memory=shared_memory)
+                              cache=cache)
     target_list = list(parse_targets(targets))
     knob_list = _validate_knobs(knobs)
     _validate_loop(population, iterations, num_samples, search_span, shrink)
     seed = int(seed)
 
     scorer = _CornerScorer(design, _metric_needs(target_list),
-                           workers=workers, cache=cache,
-                           shared_memory=shared_memory)
+                           workers=workers, cache=cache)
     base = scorer.base
     spread = DeviceSpread()
     proposer = make_strategy(strategy, base, knob_list, seed=seed,
@@ -650,8 +648,8 @@ def run_pareto_opt(design: MixerDesign | None = None,
                    search_span: float = 0.12, shrink: float = 0.5,
                    strategy: str = "shrinking_span",
                    workers: int | None = None,
-                   cache: SpecCache | str | bool | None = None,
-                   shared_memory: bool = False) -> ParetoOptResult:
+                   cache: SpecCache | str | bool | None = None
+                   ) -> ParetoOptResult:
     """Multi-objective search: maintain a Pareto front over the objectives.
 
     Same engine plumbing as :func:`run_yield_opt` — strategy-proposed
@@ -680,8 +678,7 @@ def run_pareto_opt(design: MixerDesign | None = None,
     seed = int(seed)
 
     scorer = _CornerScorer(design, _metric_needs(target_list, objective_list),
-                           workers=workers, cache=cache,
-                           shared_memory=shared_memory)
+                           workers=workers, cache=cache)
     base = scorer.base
     spread = DeviceSpread()
     proposer = make_strategy(strategy, base, knob_list, seed=seed,

@@ -12,12 +12,15 @@ of per-point Python loops:
 * :mod:`repro.sweep.runner` — :class:`SweepRunner`, which memoizes per-design
   mixers and per-(design, mode) spec intermediates, then evaluates whole
   RF x IF planes in single broadcast calls;
-* :mod:`repro.sweep.parallel` — :class:`ParallelSweepRunner`, sharding the
-  design axis across a process pool and stitching shard outputs back with
-  :meth:`SweepResult.concat` (bit-identical to the single-process run);
-* :mod:`repro.sweep.cache` — :class:`SpecCache`, a content-addressed on-disk
-  cache of solved per-(design, mode) intermediates keyed on the design
-  record's stable fingerprint, so warm re-runs skip every sizing bisection;
+* :mod:`repro.sweep.parallel` — :class:`ShardedRunner`, sharding the
+  design axis of any engine (sweep, waveform, digital IF) across a process
+  pool and stitching shard outputs back with :meth:`SweepResult.concat`
+  (bit-identical to the single-process run), and :func:`make_runner`, the
+  one factory choosing inline or sharded;
+* :mod:`repro.sweep.cache` — :class:`ContentStore`, the one on-disk store
+  every engine cache is a codec of, and :class:`SpecCache`, its codec of
+  solved per-(design, mode) intermediates keyed on the design record's
+  stable fingerprint, so warm re-runs skip every sizing bisection;
 * :mod:`repro.sweep.montecarlo` — random device-parameter spread across a
   design axis, the first scenario only the vectorized path can afford (and
   the canonical consumer of ``workers=`` / ``cache=``).
@@ -38,12 +41,7 @@ Keep per-point work out of Python: anything frequency-independent belongs in
 per design x mode), anything frequency-shaped belongs in an array accessor.
 """
 
-from repro.sweep.cache import (
-    CACHE_VERSION,
-    SpecCache,
-    default_cache_dir,
-    resolve_cache,
-)
+from repro.sweep.cache import CACHE_VERSION, ContentStore, SpecCache
 from repro.sweep.grid import (
     DESIGN_AXIS,
     IF_AXIS,
@@ -51,7 +49,7 @@ from repro.sweep.grid import (
     RF_AXIS,
     SweepAxis,
 )
-from repro.sweep.parallel import ParallelSweepRunner, make_runner
+from repro.sweep.parallel import ShardedRunner, make_runner
 from repro.sweep.montecarlo import (
     DeviceSpread,
     MonteCarloResult,
@@ -71,6 +69,7 @@ from repro.sweep.runner import (
 __all__ = [
     "ALL_SPECS",
     "CACHE_VERSION",
+    "ContentStore",
     "DEFAULT_SPECS",
     "DESIGN_AXIS",
     "DeviceSpread",
@@ -79,16 +78,14 @@ __all__ = [
     "IF_AXIS",
     "MODE_AXIS",
     "MonteCarloResult",
-    "ParallelSweepRunner",
     "RF_AXIS",
+    "ShardedRunner",
     "SpecCache",
     "SpecStatistics",
     "SweepAxis",
     "SweepResult",
     "SweepRunner",
-    "default_cache_dir",
     "make_runner",
-    "resolve_cache",
     "run_monte_carlo",
     "sample_design",
 ]

@@ -159,8 +159,7 @@ def run_monte_carlo(design: MixerDesign | None = None,
                     modes: Sequence[MixerMode] | None = None,
                     specs: Sequence[str] = DEFAULT_SPECS,
                     workers: int | None = None,
-                    cache: SpecCache | str | bool | None = None,
-                    shared_memory: bool = False
+                    cache: SpecCache | str | bool | None = None
                     ) -> MonteCarloResult:
     """Sample ``num_samples`` perturbed designs and sweep their specs.
 
@@ -169,13 +168,11 @@ def run_monte_carlo(design: MixerDesign | None = None,
     :class:`SweepResult` to downstream tooling for anything fancier.
 
     ``workers`` > 1 shards the sampled design axis across that many worker
-    processes (:class:`~repro.sweep.parallel.ParallelSweepRunner`); the
+    processes (:class:`~repro.sweep.parallel.ShardedRunner`); the
     result is bit-identical to the single-process run for the same seed.
     ``cache`` persists each sample's sizing/bias solution on disk
     (:mod:`repro.sweep.cache`), so re-running the same seed — or any grid
     containing previously solved samples — skips the bisections entirely.
-    ``shared_memory`` opts a sharded run into the shared-memory hand-off
-    (see :class:`~repro.sweep.parallel.ParallelSweepRunner`).
     """
     if num_samples < 2:
         raise ValueError("a Monte-Carlo run needs at least 2 samples")
@@ -186,8 +183,7 @@ def run_monte_carlo(design: MixerDesign | None = None,
     for index in range(num_samples):
         label = _SAMPLE_LABEL.format(index=index)
         designs[label] = sample_design(design, rng, spread, label)
-    runner = make_runner(design, specs=specs, workers=workers, cache=cache,
-                         shared_memory=shared_memory)
+    runner = make_runner(design, specs=specs, workers=workers, cache=cache)
     sweep = runner.run(modes=modes, designs=designs)
     return MonteCarloResult(sweep=sweep, num_samples=num_samples, seed=seed,
                             spread=spread)

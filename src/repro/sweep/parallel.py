@@ -1,67 +1,59 @@
-"""Parallel sweep execution: shard the design axis across processes.
+"""Parallel execution: shard any engine's design axis across processes.
 
-The per-(design, mode) cell work — device sizing bisection, bias solution,
-linearity/noise/power scalars — is embarrassingly parallel across the design
-axis: no cell reads another cell's state.  :class:`ParallelSweepRunner`
-exploits that by splitting the design records into contiguous shards, running
-each shard through an ordinary :class:`~repro.sweep.runner.SweepRunner` in a
-``concurrent.futures.ProcessPoolExecutor`` worker, and stitching the shard
-outputs back together with :meth:`SweepResult.concat` along the design axis.
+The per-(design, mode) cell work of every engine — sizing bisections and
+spec maths in :class:`~repro.sweep.runner.SweepRunner`, device evaluation
+plus FFT in :class:`~repro.waveform.engine.WaveformRunner`, quantization
+passes in :class:`~repro.digital.engine.DigitalIfRunner` — is
+embarrassingly parallel across the design axis: no cell reads another
+cell's state.  :class:`ShardedRunner` exploits that for all three.  It
+splits the design records into contiguous slices, runs each slice through
+an ordinary engine in a ``concurrent.futures.ProcessPoolExecutor`` worker,
+and stitches the slice results back together with the result type's
+``concat`` along the design axis.
 
-Determinism: every cell is computed by exactly the same code path as the
-single-process runner — same maths, same order within a cell — so the
-stitched result is **bit-identical** to ``SweepRunner.run`` on the same
-grid, regardless of worker count (gated in
-``benchmarks/test_bench_parallel.py``).
+Each worker builds its engine from the parent's baseline design, the store
+directory and the plain constructor options (the sweep's ``specs``), then
+calls ``run`` with the parent's arguments and its slice of the designs.
+Every cell is therefore computed by exactly the same code path as the
+inline run — defaulted frequency grids included — so the stitched result is
+**bit-identical** to the engine's own ``run`` for any worker count (gated in
+``benchmarks/test_bench_parallel.py`` and ``tests/test_engine_spine.py``).
 
-The frequency axes are *not* sharded: the whole point of the vectorized
-engine is that the RF x IF plane is cheap array maths; the wall-clock cost
-lives in the per-design solves, so the design axis is the right (and only)
-thing to distribute.
-
-Combine with the on-disk cache (:mod:`repro.sweep.cache`) for the full
-effect: shards share one cache directory, so a re-run — parallel or not —
-skips every bisection that any previous run or shard already paid for.
+Only the design axis is sharded: the frequency, power and bit-width axes
+are cheap array maths inside a cell.  Combine sharding with the on-disk
+stores (:mod:`repro.sweep.cache`): shards share one directory, so a re-run
+— parallel or not — skips every cell any previous run or shard paid for.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import threading
-import uuid
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
-from concurrent.futures import ProcessPoolExecutor
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterator
 
 import numpy as np
 
-try:  # pragma: no cover - present on every supported platform
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - stripped-down builds only
-    _shared_memory = None
-
 from repro.api.progress import report_progress
-from repro.core.config import MixerDesign, MixerMode
-from repro.sweep.cache import SpecCache, resolve_cache
-from repro.sweep.grid import DESIGN_AXIS, IF_AXIS, RF_AXIS, SweepAxis
-from repro.sweep.result import SweepResult
-from repro.sweep.runner import DEFAULT_SPECS, SweepRunner
+from repro.core.config import MixerDesign
+from repro.sweep.grid import DESIGN_AXIS, SweepAxis
+from repro.sweep.runner import SweepRunner
 
 # -- shared process pools ------------------------------------------------------
 #
 # A ProcessPoolExecutor is expensive to spin up (one interpreter fork/spawn
-# per worker), and the historical behaviour — every ParallelSweepRunner.run
-# building and tearing down its own pool — made a busy server pay that cost
-# on every parallel request.  With reuse enabled, pools are process-wide
-# singletons keyed by worker count, built on first use and handed out to
-# every subsequent run; `Executor` instances are thread-safe, so concurrent
-# jobs interleave their shard maps safely.  Reuse is opt-in (the serving
-# layer enables it) because a long-lived pool is server behaviour: one-shot
-# scripts and tests should not leave idle worker processes behind.
-# Bit-identity is untouched either way — `pool.map` preserves task order and
-# every shard runs exactly the same code path.
+# per worker), and building and tearing down a pool per run made a busy
+# server pay that cost on every parallel request.  With reuse enabled, pools
+# are process-wide singletons keyed by worker count, built on first use and
+# handed out to every subsequent run; `Executor` instances are thread-safe,
+# so concurrent jobs interleave their shard maps safely.  Reuse is opt-in
+# (the serving layer enables it) because a long-lived pool is server
+# behaviour: one-shot scripts and tests should not leave idle worker
+# processes behind.  Bit-identity is untouched either way — `pool.map`
+# preserves task order and every shard runs exactly the same code path.
 
 _POOLS_LOCK = threading.Lock()
 _SHARED_POOLS: dict[int, ProcessPoolExecutor] = {}
@@ -72,8 +64,8 @@ def set_pool_reuse(enabled: bool) -> None:
     """Turn process-pool reuse on or off for this process.
 
     The serving layer calls ``set_pool_reuse(True)`` at startup so every
-    parallel run (sweep and waveform alike) draws from one persistent pool
-    per worker count instead of spinning up its own.
+    parallel run (of any engine) draws from one persistent pool per worker
+    count instead of spinning up its own.
     """
     global _POOL_REUSE
     _POOL_REUSE = bool(enabled)
@@ -96,6 +88,15 @@ def shared_executor(max_workers: int) -> ProcessPoolExecutor:
         return pool
 
 
+def _evict_shared_pool(pool: ProcessPoolExecutor) -> None:
+    """Drop a broken pool from the registry so the next run builds afresh."""
+    with _POOLS_LOCK:
+        for workers, shared in list(_SHARED_POOLS.items()):
+            if shared is pool:
+                del _SHARED_POOLS[workers]
+    pool.shutdown(wait=False, cancel_futures=True)
+
+
 def shutdown_shared_pools(wait: bool = True) -> None:
     """Tear down every shared pool (server shutdown / test cleanup)."""
     with _POOLS_LOCK:
@@ -109,9 +110,8 @@ def shutdown_shared_pools(wait: bool = True) -> None:
 def executor_for(max_workers: int) -> Iterator[ProcessPoolExecutor]:
     """A pool for one parallel run: shared when reuse is on, private else.
 
-    Private pools are torn down on exit exactly as before; shared pools
-    outlive the run (that is the point) and are closed by
-    :func:`shutdown_shared_pools`.
+    Private pools are torn down on exit; shared pools outlive the run (that
+    is the point) and are closed by :func:`shutdown_shared_pools`.
     """
     if _POOL_REUSE:
         yield shared_executor(max_workers)
@@ -124,165 +124,66 @@ def executor_for(max_workers: int) -> Iterator[ProcessPoolExecutor]:
 class _ShardTask:
     """Everything one worker needs to run its slice of the design axis.
 
-    Kept to plain picklable values (tuples of floats, frozen dataclasses,
-    enum members, an optional directory string) so the task crosses the
-    process boundary cheaply under any start method.
+    Plain picklable values only — the engine class (pickled by reference),
+    frozen design records and plans, tuples of floats and enum members, an
+    optional directory string — so the task crosses the process boundary
+    cheaply under any start method.
     """
 
-    specs: tuple[str, ...]
-    labels: tuple[str, ...]
-    records: tuple[MixerDesign, ...]
-    rf_frequencies: tuple[float, ...]
-    if_frequencies: tuple[float, ...]
-    modes: tuple[MixerMode, ...]
+    engine: type
+    design: MixerDesign
     cache_dir: str | None
+    options: dict[str, Any]
+    args: tuple
+    kwargs: dict[str, Any]
+    designs: dict[str, MixerDesign]
 
 
-def _run_shard(task: _ShardTask) -> SweepResult:
-    """Worker entry point: one SweepRunner over one design-axis slice."""
-    cache = SpecCache(task.cache_dir) if task.cache_dir is not None else None
-    runner = SweepRunner(task.records[0], specs=task.specs, cache=cache)
-    return runner.run(
-        rf_frequencies=task.rf_frequencies,
-        if_frequencies=task.if_frequencies,
-        modes=task.modes,
-        designs=dict(zip(task.labels, task.records)),
-    )
+def _run_shard(task: _ShardTask):
+    """Worker entry point: one engine over one design-axis slice."""
+    runner = task.engine(task.design, cache=task.cache_dir, **task.options)
+    return runner.run(*task.args, designs=task.designs, **task.kwargs)
 
 
-# -- shared-memory shard hand-off ----------------------------------------------
-#
-# The pickle hand-off above ships every shard its slice of design records
-# through the executor's call queue and ships every shard result back the
-# same way — 2x the whole grid through pickle for one run.  The opt-in
-# shared-memory path (``ParallelSweepRunner(shared_memory=True)``) replaces
-# both copies: the parent writes one pickled (labels, records) block into a
-# ``multiprocessing.shared_memory`` segment every worker attaches to, and
-# workers write their result blocks straight into a second, preallocated
-# float64 segment the parent reads the stitched arrays from.  Workers then
-# return only a row count.  Bit-identity is untouched — the cell maths runs
-# through the very same SweepRunner; only the transport changes.
-#
-# The path degrades gracefully: when the platform has no usable shared
-# memory (import failure, segment creation refused), the runner silently
-# falls back to the pickle hand-off.  Segments are always closed and
-# unlinked by the parent — including when a worker raises mid-sweep — so a
-# failed run leaks nothing into /dev/shm.
-
-#: Name prefix of every segment this module creates; the leak tests sweep
-#: /dev/shm for leftovers carrying it.
-SEGMENT_PREFIX = "repro-sweep-"
-
-
-@dataclass(frozen=True)
-class _ShmShardTask:
-    """One worker's slice plus the segment names replacing the pickles."""
-
-    specs: tuple[str, ...]
-    rf_frequencies: tuple[float, ...]
-    if_frequencies: tuple[float, ...]
-    modes: tuple[MixerMode, ...]
-    cache_dir: str | None
-    designs_segment: str
-    designs_size: int
-    results_segment: str
-    results_shape: tuple[int, ...]
-    start: int
-    stop: int
-
-
-def _run_shard_shm(task: _ShmShardTask) -> int:
-    """Worker entry point for the shared-memory hand-off.
-
-    Reads the design block from the input segment, runs the ordinary
-    :class:`SweepRunner` over its ``[start, stop)`` slice, and writes each
-    spec's block into the preallocated result segment.  Returns the number
-    of designs evaluated (the progress payload — the arrays never cross the
-    pickle boundary).
-    """
-    segment = _shared_memory.SharedMemory(name=task.designs_segment)
-    try:
-        labels, records = pickle.loads(
-            bytes(segment.buf[:task.designs_size]))
-    finally:
-        segment.close()
-    labels = labels[task.start:task.stop]
-    records = records[task.start:task.stop]
-    cache = SpecCache(task.cache_dir) if task.cache_dir is not None else None
-    runner = SweepRunner(records[0], specs=task.specs, cache=cache)
-    result = runner.run(
-        rf_frequencies=task.rf_frequencies,
-        if_frequencies=task.if_frequencies,
-        modes=task.modes,
-        designs=dict(zip(labels, records)),
-    )
-    segment = _shared_memory.SharedMemory(name=task.results_segment)
-    try:
-        block = np.ndarray(task.results_shape, dtype=np.float64,
-                           buffer=segment.buf)
-        for spec_index, spec in enumerate(task.specs):
-            block[spec_index, task.start:task.stop] = result.data[spec]
-        # Views into the segment must be dropped before close() — an
-        # exported buffer keeps the mapping alive and close() would raise.
-        del block
-    finally:
-        segment.close()
-    return task.stop - task.start
-
-
-def _create_segment(size: int):
-    """A fresh named segment, or ``None`` when shared memory is unusable."""
-    if _shared_memory is None:
-        return None
-    name = f"{SEGMENT_PREFIX}{uuid.uuid4().hex}"
-    try:
-        return _shared_memory.SharedMemory(name=name, create=True,
-                                           size=max(1, int(size)))
-    except (OSError, ValueError):  # refused by the platform: fall back
-        return None
-
-
-class ParallelSweepRunner:
-    """Drop-in :class:`SweepRunner` that shards the design axis over processes.
+class ShardedRunner:
+    """Drop-in engine runner that shards the design axis over processes.
 
     Parameters
     ----------
+    engine:
+        The engine class — :class:`~repro.sweep.runner.SweepRunner`,
+        :class:`~repro.waveform.engine.WaveformRunner` or
+        :class:`~repro.digital.engine.DigitalIfRunner`.  It is built as
+        ``engine(design, cache=..., **options)``, its ``run`` takes
+        ``designs=`` and ``modes=`` keywords, and its class attribute
+        ``stage`` names the progress frames.
     design:
-        Baseline design record (defaults and nominal grids), as for
-        :class:`SweepRunner`.
-    specs:
-        Spec curves to evaluate.
+        Baseline design record (defaults and nominal grids), as for the
+        engine.
     workers:
         Worker process count; ``None`` means ``os.cpu_count()``.  With one
-        worker — or a design axis too short to shard — the sweep runs inline
+        worker — or a design axis too short to shard — the run stays inline
         in this process, no pool spawned.
     cache:
-        On-disk spec cache shared by all shards; same accepted values as
-        :class:`SweepRunner`.  The cache is what makes repeated parallel
-        runs cheap: each worker both reads and extends the shared directory.
-    shared_memory:
-        Opt into the ``multiprocessing.shared_memory`` hand-off: design
-        records cross into workers through one shared segment instead of
-        per-shard pickles, and result blocks come back through a second
-        preallocated segment instead of pickled :class:`SweepResult`
-        objects.  Bit-identical to the default hand-off; silently falls
-        back to pickling when the platform offers no shared memory.
+        On-disk store shared by all shards; same accepted values as the
+        engine's ``cache=``.  Each worker both reads and extends the shared
+        directory.
+    options:
+        Further plain constructor options of the engine (``specs`` for the
+        sweep).
     """
 
-    def __init__(self, design: MixerDesign | None = None,
-                 specs: Sequence[str] = DEFAULT_SPECS,
-                 workers: int | None = None,
-                 cache: SpecCache | str | bool | None = None,
-                 shared_memory: bool = False) -> None:
+    def __init__(self, engine: type, design: MixerDesign | None = None,
+                 workers: int | None = None, cache=None, **options) -> None:
         if workers is not None and workers < 1:
             raise ValueError("workers must be at least 1")
         self.workers = int(workers) if workers is not None \
             else (os.cpu_count() or 1)
-        self.cache = resolve_cache(cache)
-        self.shared_memory = bool(shared_memory)
-        # The inline runner owns spec validation, the design-axis labelling
-        # rules and the single-process fallback, so both paths stay identical.
-        self._inline = SweepRunner(design, specs=specs, cache=self.cache)
+        self.options = options
+        # The inline engine owns validation, the store resolution, the
+        # design-axis labelling rules and the single-process fallback, so
+        # both paths stay identical.
+        self._inline = engine(design, cache=cache, **options)
 
     @property
     def design(self) -> MixerDesign:
@@ -290,160 +191,79 @@ class ParallelSweepRunner:
         return self._inline.design
 
     @property
-    def specs(self) -> tuple[str, ...]:
-        """The configured spec names."""
-        return self._inline.specs
+    def cache(self):
+        """The engine's resolved store (``None`` when caching is off)."""
+        return self._inline.cache
 
-    def run(self, rf_frequencies: Iterable[float] | np.ndarray | None = None,
-            if_frequencies: Iterable[float] | np.ndarray | None = None,
-            modes: Sequence[MixerMode] | None = None,
-            designs: Mapping[str, MixerDesign] | Sequence[MixerDesign] | None = None
-            ) -> SweepResult:
-        """Evaluate the configured specs over the full grid, sharded.
+    def run(self, *args, modes=None, designs=None, **kwargs):
+        """Evaluate the engine's grid, sharded along the design axis.
 
-        Accepts exactly the arguments of :meth:`SweepRunner.run` and returns
-        a bit-identical :class:`SweepResult`.  Sharding applies only when
-        there are at least two design records and two workers; otherwise the
-        call runs inline.
+        Accepts the engine's ``run`` arguments (``designs`` and ``modes`` by
+        keyword) and returns a bit-identical result.  Sharding applies only
+        when there are at least two design records and two workers.
+        Completed shards stream as progress frames under the engine's
+        ``stage``.  A pool that broke (a worker died) is evicted and
+        replaced, and the unfinished shards re-run once: shards are pure and
+        store writes are atomic, so a re-run cannot change a result.
         """
-        design_axis, records = self._inline._design_axis(designs)
-        _, mode_members = self._inline._mode_axis(modes)
-        # SweepAxis.numeric applies the same 1-D validation (and error
-        # message) the inline runner would, keeping the drop-in contract.
-        rf = SweepAxis.numeric(
-            RF_AXIS, rf_frequencies if rf_frequencies is not None
-            else [self.design.rf_frequency]).values
-        if_ = SweepAxis.numeric(
-            IF_AXIS, if_frequencies if if_frequencies is not None
-            else [self.design.if_frequency]).values
-
+        design_axis, records = SweepAxis.design_axis(designs, self.design)
+        _, members = SweepAxis.mode_axis(modes)
         shard_count = min(self.workers, len(records))
         if shard_count <= 1:
-            return self._inline.run(rf_frequencies=rf, if_frequencies=if_,
-                                    modes=mode_members,
-                                    designs=dict(zip(design_axis.values,
-                                                     records)))
+            return self._inline.run(
+                *args, modes=members,
+                designs=dict(zip(design_axis.values, records)), **kwargs)
 
+        engine = type(self._inline)
+        cache_dir = str(self.cache.directory) if self.cache is not None \
+            else None
         labels = design_axis.values
-        cache_dir = str(self.cache.directory) if self.cache is not None else None
-        bounds_list = [(int(bounds[0]), int(bounds[-1]) + 1) for bounds in
-                       np.array_split(np.arange(len(records)), shard_count)]
-        if self.shared_memory:
-            result = self._run_shared_memory(
-                design_axis, records, rf, if_, mode_members, bounds_list,
-                cache_dir)
-            if result is not None:
-                return result
-            # Shared memory unavailable on this platform: pickle hand-off.
         tasks = []
-        for start, stop in bounds_list:
+        for bounds in np.array_split(np.arange(len(records)), shard_count):
+            start, stop = int(bounds[0]), int(bounds[-1]) + 1
             tasks.append(_ShardTask(
-                specs=self.specs,
-                labels=tuple(labels[start:stop]),
-                records=tuple(records[start:stop]),
-                rf_frequencies=rf,
-                if_frequencies=if_,
-                modes=tuple(mode_members),
-                cache_dir=cache_dir,
-            ))
-        shards: list[SweepResult] = []
+                engine=engine, design=self.design, cache_dir=cache_dir,
+                options=self.options, args=args,
+                kwargs={**kwargs, "modes": members},
+                designs=dict(zip(labels[start:stop], records[start:stop]))))
+        shards: list = []
         designs_done = 0
-        with executor_for(shard_count) as pool:
-            for task, shard in zip(tasks, pool.map(_run_shard, tasks)):
-                shards.append(shard)
-                designs_done += len(task.labels)
-                # Completed shards are partial progress the job surface can
-                # stream; with no observer this is a thread-local no-op.
-                report_progress(stage="sweep", shards_done=len(shards),
-                                shards_total=len(tasks),
-                                designs_done=designs_done,
-                                designs_total=len(records))
-        return SweepResult.concat(shards, axis=DESIGN_AXIS)
-
-    def _run_shared_memory(self, design_axis: SweepAxis,
-                           records: Sequence[MixerDesign],
-                           rf: tuple[float, ...], if_: tuple[float, ...],
-                           mode_members: Sequence[MixerMode],
-                           bounds_list: Sequence[tuple[int, int]],
-                           cache_dir: str | None) -> SweepResult | None:
-        """The shared-memory hand-off, or ``None`` to fall back to pickling.
-
-        Two segments live for the duration of the run: the pickled
-        ``(labels, records)`` block every worker reads its slice from, and
-        the stitched ``(spec, design, mode, rf, if)`` float64 block workers
-        write into.  Both are closed and unlinked in a ``finally`` — a
-        worker exception propagates *after* the segments are gone, so a
-        failed sweep leaks nothing.
-        """
-        labels = design_axis.values
-        payload = pickle.dumps((tuple(labels), tuple(records)),
-                               protocol=pickle.HIGHEST_PROTOCOL)
-        shape = (len(self.specs), len(records), len(mode_members),
-                 len(rf), len(if_))
-        designs_segment = _create_segment(len(payload))
-        if designs_segment is None:
-            return None
-        results_segment = _create_segment(8 * int(np.prod(shape)))
-        if results_segment is None:
-            designs_segment.close()
-            designs_segment.unlink()
-            return None
-        try:
-            designs_segment.buf[:len(payload)] = payload
-            tasks = [_ShmShardTask(
-                specs=self.specs,
-                rf_frequencies=rf,
-                if_frequencies=if_,
-                modes=tuple(mode_members),
-                cache_dir=cache_dir,
-                designs_segment=designs_segment.name,
-                designs_size=len(payload),
-                results_segment=results_segment.name,
-                results_shape=shape,
-                start=start,
-                stop=stop,
-            ) for start, stop in bounds_list]
-            designs_done = 0
-            with executor_for(len(tasks)) as pool:
-                for shards_done, count in enumerate(
-                        pool.map(_run_shard_shm, tasks), start=1):
-                    designs_done += count
-                    report_progress(stage="sweep", shards_done=shards_done,
-                                    shards_total=len(tasks),
-                                    designs_done=designs_done,
-                                    designs_total=len(records))
-            block = np.ndarray(shape, dtype=np.float64,
-                               buffer=results_segment.buf)
-            data = {spec: np.array(block[spec_index], dtype=float, copy=True)
-                    for spec_index, spec in enumerate(self.specs)}
-            # Drop the view before close() — see _run_shard_shm.
-            del block
-        finally:
-            designs_segment.close()
-            designs_segment.unlink()
-            results_segment.close()
-            results_segment.unlink()
-        axes = (design_axis, SweepAxis.mode_axis(list(mode_members))[0],
-                SweepAxis.numeric(RF_AXIS, rf), SweepAxis.numeric(IF_AXIS, if_))
-        return SweepResult(axes, data)
+        for attempt in (1, 2):
+            pending = tasks[len(shards):]
+            try:
+                with executor_for(shard_count) as pool:
+                    for task, shard in zip(pending,
+                                           pool.map(_run_shard, pending)):
+                        shards.append(shard)
+                        designs_done += len(task.designs)
+                        # Completed shards are partial progress the job
+                        # surface can stream; with no observer this is a
+                        # thread-local no-op.
+                        report_progress(stage=engine.stage,
+                                        shards_done=len(shards),
+                                        shards_total=len(tasks),
+                                        designs_done=designs_done,
+                                        designs_total=len(records))
+                break
+            except BrokenProcessPool:
+                if attempt == 2:
+                    raise
+                _evict_shared_pool(pool)
+        return type(shards[0]).concat(shards, axis=DESIGN_AXIS)
 
 
 def make_runner(design: MixerDesign | None = None,
-                specs: Sequence[str] = DEFAULT_SPECS,
-                workers: int | None = None,
-                cache: SpecCache | str | bool | None = None,
-                shared_memory: bool = False
-                ) -> SweepRunner | ParallelSweepRunner:
-    """The runner an experiment entry point should use for its options.
+                workers: int | None = None, cache=None,
+                engine: type = SweepRunner, **options):
+    """The runner an entry point should use for its options.
 
-    ``workers=None`` or ``1`` keeps the plain single-process
-    :class:`SweepRunner` (the default everywhere — experiments pay nothing
-    for the parallel machinery unless asked); anything higher returns a
-    :class:`ParallelSweepRunner`.  ``cache`` is honoured by both;
-    ``shared_memory`` opts the parallel runner into the shared-memory shard
-    hand-off (ignored inline, where nothing crosses a process boundary).
+    ``workers=None`` or ``1`` keeps the plain single-process engine (the
+    default everywhere — entry points pay nothing for the parallel
+    machinery unless asked); anything higher returns a
+    :class:`ShardedRunner` over ``engine``.  ``cache`` and the engine's
+    constructor ``options`` (``specs`` for the sweep) are honoured by both.
     """
     if workers is None or workers == 1:
-        return SweepRunner(design, specs=specs, cache=cache)
-    return ParallelSweepRunner(design, specs=specs, workers=workers,
-                               cache=cache, shared_memory=shared_memory)
+        return engine(design, cache=cache, **options)
+    return ShardedRunner(engine, design, workers=workers, cache=cache,
+                         **options)

@@ -144,7 +144,7 @@ class SweepResult:
         """Stitch shard results back into one sweep along a named axis.
 
         This is the join step of :class:`~repro.sweep.parallel.\
-ParallelSweepRunner`: each shard holds a contiguous slice of the ``axis``
+ShardedRunner`: each shard holds a contiguous slice of the ``axis``
         values (by default the design axis) over otherwise identical grids.
         Every input must carry the same spec names and bit-identical
         non-concatenated axes; categorical axis labels must stay unique after

@@ -21,7 +21,7 @@ Mixer instances are memoized per design record, so re-running a sweep on a
 refined frequency grid re-uses every sizing/bias solution already paid for.
 An optional on-disk layer (:mod:`repro.sweep.cache`) extends that memo
 across processes and interpreter runs, and
-:class:`~repro.sweep.parallel.ParallelSweepRunner` shards the design axis of
+:class:`~repro.sweep.parallel.ShardedRunner` shards the design axis of
 large grids across worker processes with this runner doing each shard.
 
 Adding a new sweep scenario is: build the designs/modes/grids you care
@@ -46,7 +46,7 @@ from repro.core.reconfigurable_mixer import (
     spec_block,
 )
 from repro.core.transconductance import solve_widths
-from repro.sweep.cache import SpecCache, resolve_cache
+from repro.sweep.cache import SpecCache
 from repro.sweep.grid import IF_AXIS, RF_AXIS, SweepAxis
 from repro.sweep.result import SweepResult
 
@@ -84,11 +84,14 @@ class SweepRunner:
         :mod:`repro.sweep.cache`.
     """
 
+    #: Progress-frame stage of a sharded run of this engine.
+    stage = "sweep"
+
     def __init__(self, design: MixerDesign | None = None,
                  specs: Sequence[str] = DEFAULT_SPECS,
                  cache: SpecCache | str | bool | None = None) -> None:
         self.design = design if design is not None else MixerDesign()
-        self.cache = resolve_cache(cache)
+        self.cache = SpecCache.resolve(cache)
         self.specs = tuple(specs)
         if not self.specs:
             raise ValueError("need at least one spec to sweep")

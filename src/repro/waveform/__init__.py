@@ -18,11 +18,13 @@ analytic specs already ride (:mod:`repro.sweep`):
   :class:`~repro.sweep.result.SweepResult` subclass (same axes selection,
   ``concat`` stitch and exact ``to_dict``/``from_dict`` round-trip);
 * :mod:`repro.waveform.cache` — :class:`WaveformCache`, the
-  content-addressed on-disk store keyed on ``MixerDesign.fingerprint()`` +
-  mode + plan hash: warm re-runs perform zero FFT evaluations;
-* :mod:`repro.waveform.parallel` — :class:`ParallelWaveformRunner` and
-  :func:`make_waveform_runner`, sharding the design axis across processes
-  with bit-identical stitched results.
+  content-addressed on-disk codec keyed on ``MixerDesign.fingerprint()`` +
+  mode + plan hash: warm re-runs perform zero FFT evaluations.
+
+Design-axis sharding is the shared
+:class:`~repro.sweep.parallel.ShardedRunner`:
+``make_runner(design, workers=N, engine=WaveformRunner)`` returns one, with
+bit-identical stitched results.
 
 The scalar benches in :mod:`repro.rf.twotone` and
 :mod:`repro.rf.compression` are thin wrappers over :func:`evaluate_plan`,
@@ -31,19 +33,13 @@ populations through :class:`WaveformRunner` — so waveform linearity is as
 cheap, cacheable and servable as gain or NF.
 """
 
-from repro.waveform.cache import (
-    WAVEFORM_CACHE_VERSION,
-    WaveformCache,
-    default_waveform_cache_dir,
-    resolve_waveform_cache,
-)
+from repro.waveform.cache import WAVEFORM_CACHE_VERSION, WaveformCache
 from repro.waveform.engine import (
     WaveformRunner,
     device_output,
     evaluate_plan,
     waveform_fft_count,
 )
-from repro.waveform.parallel import ParallelWaveformRunner, make_waveform_runner
 from repro.waveform.plan import (
     DEFAULT_NUM_SAMPLES,
     DEFAULT_SAMPLE_RATE,
@@ -65,16 +61,12 @@ __all__ = [
     "SINGLE_TONE",
     "TWO_TONE",
     "StimulusPlan",
-    "ParallelWaveformRunner",
     "WAVEFORM_CACHE_VERSION",
     "WaveformCache",
     "WaveformResult",
     "WaveformRunner",
-    "default_waveform_cache_dir",
     "device_output",
     "evaluate_plan",
-    "make_waveform_runner",
-    "resolve_waveform_cache",
     "single_tone_plan",
     "two_tone_plan",
     "waveform_fft_count",

@@ -22,8 +22,8 @@ waveform_device` treats the last axis as time), so the LO switching
 x mode x input power** grids with the same memoization ladder as the sweep
 engine: mixers per design record in memory, measures per (design, mode,
 plan) on disk (:mod:`repro.waveform.cache`), and design-axis sharding
-across processes (:mod:`repro.waveform.parallel`).  Scalar entry points
-(:func:`repro.rf.twotone.sweep_two_tone`,
+across processes (:class:`~repro.sweep.parallel.ShardedRunner`).  Scalar
+entry points (:func:`repro.rf.twotone.sweep_two_tone`,
 :func:`repro.rf.compression.measure_compression_point`) are thin wrappers
 over this module, so the point and batched paths cannot drift.
 
@@ -43,7 +43,7 @@ from repro.core.transconductance import solve_widths
 from repro.rf.signal import WaveformTransfer
 from repro.sweep.grid import POWER_AXIS, SweepAxis
 from repro.units import dbm_from_vpeak, vpeak_from_dbm
-from repro.waveform.cache import resolve_waveform_cache
+from repro.waveform.cache import WaveformCache
 from repro.waveform.plan import TWO_TONE, StimulusPlan
 from repro.waveform.result import WaveformResult
 
@@ -207,10 +207,13 @@ class WaveformRunner:
         With a warm cache a run performs zero FFT evaluations.
     """
 
+    #: Progress-frame stage of a sharded run of this engine.
+    stage = "waveform"
+
     def __init__(self, design: MixerDesign | None = None,
                  cache=None) -> None:
         self.design = design if design is not None else MixerDesign()
-        self.cache = resolve_waveform_cache(cache)
+        self.cache = WaveformCache.resolve(cache)
         # Mixers are memoized per design record across run() calls, exactly
         # like the sweep engine — re-running a refined power grid re-uses
         # every sizing/bias solution already paid for.  Stimulus blocks are

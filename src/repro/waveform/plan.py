@@ -7,7 +7,7 @@ frequency-translation bookkeeping (LO, measurement frequency).  Plans are
 frozen, picklable records of plain floats, so they
 
 * travel to the worker processes of
-  :class:`~repro.waveform.parallel.ParallelWaveformRunner` unchanged,
+  :class:`~repro.sweep.parallel.ShardedRunner` unchanged,
 * hash stably (:meth:`StimulusPlan.content_hash`) — one third of the
   waveform cache key, next to ``MixerDesign.fingerprint()`` and the mode —
   and

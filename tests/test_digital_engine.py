@@ -1,4 +1,4 @@
-"""Tests for the digital-IF engine, cache, sharding and experiment adapters.
+"""Tests for the digital-IF engine, cache and experiment adapters.
 
 The acceptance bars, straight from the subsystem's contract:
 
@@ -9,7 +9,6 @@ The acceptance bars, straight from the subsystem's contract:
 * the content-addressed digital cache serves warm re-runs with **zero
   quantization passes**, keys on design + mode + plan hash (which covers
   the embedded analog stimulus), and degrades corruption to a recompute;
-* design-axis sharding is bit-identical to the inline run;
 * the ``digital_if`` / ``bits_floor`` batch adapters are bit-identical to
   solo runs, and ``digital_snr_db`` scores in ``run_yield_opt``.
 """
@@ -27,11 +26,8 @@ from repro.digital import (
     DigitalIfCache,
     DigitalIfRunner,
     DigitalResult,
-    ParallelDigitalRunner,
     digital_if_plan,
     digital_pass_count,
-    make_digital_runner,
-    resolve_digital_cache,
 )
 from repro.sweep.montecarlo import DeviceSpread, sample_design
 
@@ -176,46 +172,20 @@ class TestDigitalCache:
     def test_kill_switch_and_resolver(self, tmp_path, monkeypatch):
         from repro.sweep.cache import SpecCache
 
-        resolved = resolve_digital_cache(SpecCache(tmp_path))
+        resolved = DigitalIfCache.resolve(SpecCache(tmp_path))
         assert isinstance(resolved, DigitalIfCache)
         assert resolved.directory == tmp_path
         with pytest.raises(TypeError, match="cache"):
-            resolve_digital_cache(1.5)
+            DigitalIfCache.resolve(1.5)
         monkeypatch.setenv("REPRO_SWEEP_CACHE", "off")
-        assert resolve_digital_cache(str(tmp_path)) is None
-        assert resolve_digital_cache(True) is None
+        assert DigitalIfCache.resolve(str(tmp_path)) is None
+        assert DigitalIfCache.resolve(True) is None
 
     def test_store_rejects_incomplete_measures(self, design, plan, tmp_path):
         cache = DigitalIfCache(tmp_path)
         with pytest.raises(ValueError, match="missing"):
             cache.store(design, MixerMode.ACTIVE, plan,
                         {"snr_db": np.zeros(len(SMALL_BITS))})
-
-
-class TestParallelDigitalRunner:
-    def test_sharded_run_is_bit_identical(self, design, plan):
-        rng = np.random.default_rng(11)
-        population = {f"dig-{i}": sample_design(design, rng, DeviceSpread(),
-                                                f"dig-{i}")
-                      for i in range(4)}
-        inline = DigitalIfRunner(design).run(plan, designs=population)
-        sharded = ParallelDigitalRunner(design, workers=2).run(
-            plan, designs=population)
-        assert isinstance(sharded, DigitalResult)
-        assert [a.values for a in sharded.axes] == \
-            [a.values for a in inline.axes]
-        for measure in plan.measures:
-            assert np.array_equal(inline.data[measure],
-                                  sharded.data[measure])
-
-    def test_make_runner_selection(self, design):
-        assert isinstance(make_digital_runner(design), DigitalIfRunner)
-        assert isinstance(make_digital_runner(design, workers=1),
-                          DigitalIfRunner)
-        assert isinstance(make_digital_runner(design, workers=2),
-                          ParallelDigitalRunner)
-        with pytest.raises(ValueError, match="workers"):
-            ParallelDigitalRunner(design, workers=0)
 
 
 class TestDigitalExperiments:

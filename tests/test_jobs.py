@@ -588,8 +588,9 @@ class TestResponseCacheStats:
 class TestSharedPools:
     def test_reuse_is_bit_identical_and_reuses_executor(self):
         import numpy as np
+        from repro.sweep import SweepRunner
         from repro.sweep.parallel import (
-            ParallelSweepRunner,
+            ShardedRunner,
             pool_reuse_enabled,
             set_pool_reuse,
             shared_executor,
@@ -599,7 +600,7 @@ class TestSharedPools:
 
         designs = {"a": MixerDesign(),
                    "b": MixerDesign().with_gain_setting(1.05)}
-        runner = ParallelSweepRunner(workers=2, cache=False)
+        runner = ShardedRunner(SweepRunner, workers=2, cache=False)
         baseline = runner.run(rf_frequencies=[2.4e9], designs=designs)
         assert not pool_reuse_enabled()
         set_pool_reuse(True)

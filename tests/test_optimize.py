@@ -24,7 +24,6 @@ from repro.core.config import MixerDesign, MixerMode
 from repro.optimize import (
     DEFAULT_KNOBS,
     SpecTarget,
-    YieldRequest,
     default_targets,
     parse_targets,
     run_yield_opt,
@@ -193,16 +192,6 @@ class TestSurfaces:
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
-
-    def test_deprecated_yield_request_shim_is_wire_identical(self, registry):
-        # The retired side-door must keep converting old callers exactly:
-        # same wire dict, same request key, same response-cache entry.
-        with pytest.warns(DeprecationWarning, match="YieldRequest"):
-            typed = YieldRequest(**TINY).to_spec_request()
-        bare = SpecRequest(experiment="yield_opt", grid=dict(TINY))
-        spec = registry.get("yield_opt")
-        assert typed.to_dict() == bare.to_dict()
-        assert typed.request_key(spec) == bare.request_key(spec)
 
     def test_http_returns_the_same_best_fingerprint(self, base_url,
                                                     tiny_result):

@@ -1,35 +1,21 @@
-"""Tests for the parallel sweep runner and SweepResult concatenation."""
+"""Tests for SweepResult concatenation and the sharded Monte-Carlo run.
+
+The sharded runner itself is covered engine by engine in
+``tests/test_engine_spine.py``.
+"""
 
 from __future__ import annotations
-
-import glob
-import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import repro.sweep.parallel as parallel_module
-from repro.core.config import MixerDesign, MixerMode
+from repro.core.config import MixerMode
 from repro.sweep import (
     DESIGN_AXIS,
-    DeviceSpread,
-    ParallelSweepRunner,
     SweepAxis,
     SweepResult,
-    SweepRunner,
-    make_runner,
     run_monte_carlo,
-    sample_design,
 )
-from repro.sweep.parallel import SEGMENT_PREFIX
-
-
-def _sampled_designs(design: MixerDesign, count: int,
-                     seed: int = 11) -> dict[str, MixerDesign]:
-    rng = np.random.default_rng(seed)
-    return {f"mc-{i:03d}": sample_design(design, rng, DeviceSpread(), f"mc-{i:03d}")
-            for i in range(count)}
 
 
 class TestConcat:
@@ -103,125 +89,6 @@ class TestConcat:
                               {"nf_db": np.zeros((1, 2))})
         with pytest.raises(ValueError, match="different specs"):
             SweepResult.concat([self._result(["a"]), renamed])
-
-
-class TestParallelSweepRunner:
-    def test_matches_single_process_bitwise(self, design):
-        """The acceptance gate: workers > 1 must be bit-identical."""
-        designs = _sampled_designs(design, 5)
-        rf = [1.0e9, 2.405e9, 5.0e9]
-        single = SweepRunner(design).run(rf_frequencies=rf, designs=designs)
-        sharded = ParallelSweepRunner(design, workers=3).run(
-            rf_frequencies=rf, designs=designs)
-        assert sharded.shape == single.shape
-        assert sharded.axis(DESIGN_AXIS).values == \
-            single.axis(DESIGN_AXIS).values
-        for spec in single.spec_names:
-            np.testing.assert_array_equal(sharded.data[spec],
-                                          single.data[spec])
-
-    def test_sequence_designs_and_more_workers_than_designs(self, design):
-        variant = replace(design, degeneration_resistance=80.0)
-        sweep = ParallelSweepRunner(design, specs=("iip3_dbm",),
-                                    workers=8).run(
-            designs=[design, variant], modes=(MixerMode.PASSIVE,))
-        assert sweep.axis(DESIGN_AXIS).values == ("design-0", "design-1")
-        assert sweep.value("iip3_dbm", design="design-1", mode="passive") > \
-            sweep.value("iip3_dbm", design="design-0", mode="passive")
-
-    def test_single_design_runs_inline(self, design):
-        runner = ParallelSweepRunner(design, specs=("conversion_gain_db",),
-                                     workers=4)
-        sweep = runner.run(rf_frequencies=[1e9, 2e9])
-        assert sweep.shape == (1, 2, 2, 1)
-        # The inline fallback memoizes on the wrapped runner as usual.
-        assert runner._inline.cached_design_count == 1
-
-    def test_rejects_bad_worker_counts(self, design):
-        with pytest.raises(ValueError, match="workers"):
-            ParallelSweepRunner(design, workers=0)
-
-    def test_rejects_multidimensional_grids_like_sweep_runner(self, design):
-        runner = ParallelSweepRunner(design, workers=2)
-        with pytest.raises(ValueError, match="one-dimensional"):
-            runner.run(rf_frequencies=np.ones((2, 2)))
-
-    def test_default_grids_match_single_process(self, design):
-        designs = _sampled_designs(design, 2, seed=5)
-        single = SweepRunner(design).run(designs=designs)
-        sharded = ParallelSweepRunner(design, workers=2).run(designs=designs)
-        assert sharded.axis("rf_frequency_hz").values == \
-            (design.rf_frequency,)
-        for spec in single.spec_names:
-            np.testing.assert_array_equal(sharded.data[spec],
-                                          single.data[spec])
-
-
-def _leaked_segments() -> list[str]:
-    """Segments this module created and failed to unlink (Linux view)."""
-    if not os.path.isdir("/dev/shm"):
-        return []
-    return glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*")
-
-
-class TestSharedMemoryHandOff:
-    def test_bitwise_identity_across_worker_counts(self, design):
-        """The acceptance gate: the shm transport must change no bits."""
-        designs = _sampled_designs(design, 6, seed=3)
-        rf = [1.0e9, 2.405e9]
-        single = SweepRunner(design).run(rf_frequencies=rf, designs=designs)
-        for workers in (2, 4):
-            shm = ParallelSweepRunner(design, workers=workers,
-                                      shared_memory=True).run(
-                rf_frequencies=rf, designs=designs)
-            assert shm.axis(DESIGN_AXIS).values == \
-                single.axis(DESIGN_AXIS).values
-            for spec in single.spec_names:
-                np.testing.assert_array_equal(shm.data[spec],
-                                              single.data[spec])
-        assert _leaked_segments() == []
-
-    def test_falls_back_to_pickle_when_unavailable(self, design, monkeypatch):
-        """No shared memory on the platform: same results, no error."""
-        monkeypatch.setattr(parallel_module, "_shared_memory", None)
-        designs = _sampled_designs(design, 4, seed=7)
-        single = SweepRunner(design).run(designs=designs)
-        fallback = ParallelSweepRunner(design, workers=2,
-                                       shared_memory=True).run(designs=designs)
-        for spec in single.spec_names:
-            np.testing.assert_array_equal(fallback.data[spec],
-                                          single.data[spec])
-
-    def test_worker_exception_leaks_no_segments(self, design):
-        """A shard failure must unlink both segments before propagating."""
-        designs = _sampled_designs(design, 4, seed=9)
-        designs["greedy"] = replace(design, tca_gm=1.0)
-        runner = ParallelSweepRunner(design, workers=2, shared_memory=True)
-        with pytest.raises(ValueError, match="target gm unreachable"):
-            runner.run(designs=designs)
-        assert _leaked_segments() == []
-
-    def test_monte_carlo_accepts_shared_memory(self, design):
-        baseline = run_monte_carlo(design, num_samples=4, seed=33)
-        shm = run_monte_carlo(design, num_samples=4, seed=33, workers=2,
-                              shared_memory=True)
-        for spec in baseline.sweep.spec_names:
-            np.testing.assert_array_equal(shm.sweep.data[spec],
-                                          baseline.sweep.data[spec])
-
-
-class TestMakeRunner:
-    def test_workers_choose_the_runner_type(self, design):
-        assert isinstance(make_runner(design), SweepRunner)
-        assert isinstance(make_runner(design, workers=1), SweepRunner)
-        parallel = make_runner(design, workers=2)
-        assert isinstance(parallel, ParallelSweepRunner)
-        assert parallel.workers == 2
-
-    def test_shared_memory_flag_reaches_the_runner(self, design):
-        assert make_runner(design, workers=2).shared_memory is False
-        assert make_runner(design, workers=2,
-                           shared_memory=True).shared_memory is True
 
 
 class TestMonteCarloParallel:

@@ -11,7 +11,7 @@ import repro.sweep.cache as cache_module
 from repro.core.config import MixerDesign, MixerMode
 from repro.core.reconfigurable_mixer import SpecIntermediates
 from repro.core.transconductance import sizing_solve_count
-from repro.sweep import SpecCache, SweepRunner, resolve_cache, run_monte_carlo
+from repro.sweep import SpecCache, SweepRunner, run_monte_carlo
 
 
 class TestFingerprint:
@@ -148,25 +148,25 @@ class TestSpecIntermediatesSerialization:
 
 class TestResolveCacheAndEnvSwitch:
     def test_resolve_cache_forms(self, tmp_path):
-        assert resolve_cache(None) is None
-        assert resolve_cache(False) is None
+        assert SpecCache.resolve(None) is None
+        assert SpecCache.resolve(False) is None
         cache = SpecCache(tmp_path)
-        assert resolve_cache(cache) is cache
-        assert resolve_cache(str(tmp_path)).directory == tmp_path
-        assert resolve_cache(tmp_path).directory == tmp_path
+        assert SpecCache.resolve(cache) is cache
+        assert SpecCache.resolve(str(tmp_path)).directory == tmp_path
+        assert SpecCache.resolve(tmp_path).directory == tmp_path
         with pytest.raises(TypeError):
-            resolve_cache(42)
+            SpecCache.resolve(42)
 
     def test_true_uses_default_directory(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cache_module.DIRECTORY_ENV, str(tmp_path / "d"))
-        resolved = resolve_cache(True)
+        resolved = SpecCache.resolve(True)
         assert resolved is not None
         assert resolved.directory == tmp_path / "d"
 
     def test_env_switch_force_disables(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cache_module.DISABLE_ENV, "off")
-        assert resolve_cache(True) is None
-        assert resolve_cache(str(tmp_path)) is None
+        assert SpecCache.resolve(True) is None
+        assert SpecCache.resolve(str(tmp_path)) is None
         runner = SweepRunner(cache=str(tmp_path))
         assert runner.cache is None
 

@@ -10,8 +10,6 @@ The acceptance bars, straight from the engine's contract:
 * the content-addressed waveform cache serves warm re-runs with **zero FFT
   evaluations**, degrades corrupt entries to recomputes, and keys on
   design fingerprint + mode + stimulus-plan hash;
-* design-axis sharding through the parallel runner is bit-identical to the
-  inline run for any worker count;
 * the ``fig10`` / ``iip2`` / ``p1db`` batch adapters are bit-identical to
   solo runs, and waveform-measured specs score in ``run_yield_opt``.
 """
@@ -36,13 +34,10 @@ from repro.waveform import (
     WaveformResult,
     WaveformRunner,
     evaluate_plan,
-    make_waveform_runner,
-    resolve_waveform_cache,
     single_tone_plan,
     two_tone_plan,
     waveform_fft_count,
 )
-from repro.waveform.parallel import ParallelWaveformRunner
 
 LO = 2.4e9
 TONE_1 = 2.405e9
@@ -258,63 +253,23 @@ class TestWaveformCache:
 
     def test_kill_switch_disables_caching(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_CACHE", "off")
-        assert resolve_waveform_cache(str(tmp_path)) is None
-        assert resolve_waveform_cache(True) is None
+        assert WaveformCache.resolve(str(tmp_path)) is None
+        assert WaveformCache.resolve(True) is None
 
     def test_resolver_adopts_spec_cache_directory(self, tmp_path):
         from repro.sweep.cache import SpecCache
 
-        resolved = resolve_waveform_cache(SpecCache(tmp_path))
+        resolved = WaveformCache.resolve(SpecCache(tmp_path))
         assert isinstance(resolved, WaveformCache)
         assert resolved.directory == tmp_path
         with pytest.raises(TypeError, match="cache"):
-            resolve_waveform_cache(1.5)
+            WaveformCache.resolve(1.5)
 
     def test_store_rejects_incomplete_measures(self, design, plan, tmp_path):
         cache = WaveformCache(tmp_path)
         with pytest.raises(ValueError, match="missing"):
             cache.store(design, MixerMode.ACTIVE, plan,
                         {"fundamental_dbm": np.zeros(5)})
-
-
-class TestParallelWaveformRunner:
-    @pytest.fixture(scope="class")
-    def population(self, design):
-        rng = np.random.default_rng(11)
-        return {f"par-{i}": sample_design(design, rng, DeviceSpread(),
-                                          f"par-{i}")
-                for i in range(4)}
-
-    def test_sharded_run_is_bit_identical(self, design, population,
-                                          sample_rate, num_samples):
-        plan = two_tone_plan(TONE_1, TONE_2, FIG10_POWERS[:5], sample_rate,
-                             num_samples, lo_frequency=LO)
-        inline = WaveformRunner(design).run(plan, designs=population)
-        sharded = ParallelWaveformRunner(design, workers=2).run(
-            plan, designs=population)
-        assert isinstance(sharded, WaveformResult)
-        assert [a.values for a in sharded.axes] == \
-            [a.values for a in inline.axes]
-        for measure in plan.measures:
-            assert np.array_equal(inline.data[measure],
-                                  sharded.data[measure])
-
-    def test_single_design_runs_inline(self, design, sample_rate,
-                                       num_samples):
-        plan = single_tone_plan(TONE_1, P1DB_POWERS[:4], sample_rate,
-                                num_samples, lo_frequency=LO)
-        runner = ParallelWaveformRunner(design, workers=4)
-        result = runner.run(plan, modes=[MixerMode.ACTIVE])
-        assert result.shape == (1, 1, 4)
-
-    def test_make_runner_selection(self, design):
-        assert isinstance(make_waveform_runner(design), WaveformRunner)
-        assert isinstance(make_waveform_runner(design, workers=1),
-                          WaveformRunner)
-        assert isinstance(make_waveform_runner(design, workers=2),
-                          ParallelWaveformRunner)
-        with pytest.raises(ValueError, match="workers"):
-            ParallelWaveformRunner(design, workers=0)
 
 
 class TestBatchAdapters:
