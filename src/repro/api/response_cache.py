@@ -9,11 +9,16 @@ identical request never reaches the engine at all (zero sizing bisections,
 asserted in ``tests/test_api.py``).
 
 The request key already folds in :data:`~repro.api.request.API_VERSION`.
-The in-memory tier is a bounded LRU so a long-lived server keeps its hot
-designs resident without growing unboundedly.  The disk tier is a
-:class:`~repro.sweep.cache.ContentStore` — the engine stores' read/write
-path, with atomic writes and every unreadable entry a counted miss — whose
-entries are named by the request key.  It is shared by every service
+The engine cache versions are not part of that key (it is on the wire), so
+every disk entry is stamped with :func:`engine_versions` instead: an entry
+computed under another version of an engine — a server restarted on an old
+cache directory after a numerics change — is a counted miss, recomputed
+and overwritten, never served.  The in-memory tier is a bounded LRU so a
+long-lived server keeps its hot designs resident without growing
+unboundedly.  The disk tier is a :class:`~repro.sweep.cache.ContentStore`
+— the engine stores' read/write path, with atomic writes and every
+unreadable entry a counted miss — whose entries are named by the request
+key.  It is shared by every service
 instance pointed at the directory (CLI runs, server restarts).
 """
 
@@ -24,10 +29,29 @@ from collections import OrderedDict
 from pathlib import Path
 
 from repro.api.request import API_VERSION
-from repro.sweep.cache import ContentStore
+from repro.sweep.cache import CACHE_VERSION, ContentStore
 
 #: Default capacity of the in-memory LRU tier.
 DEFAULT_LRU_SIZE = 128
+
+#: The disk-entry field holding :func:`engine_versions`.
+STAMP_FIELD = "engine_versions"
+
+
+def engine_versions() -> dict[str, int]:
+    """The engine versions every disk entry is stamped with; an entry with
+    any other stamp, or none, misses.
+
+    The waveform and digital versions are imported here rather than at
+    module level: both engine packages import :mod:`repro.api` (for
+    progress reporting), which imports this module.
+    """
+    from repro.digital.cache import DIGITAL_CACHE_VERSION
+    from repro.waveform.cache import WAVEFORM_CACHE_VERSION
+
+    return {"cache_version": CACHE_VERSION,
+            "digital_cache_version": DIGITAL_CACHE_VERSION,
+            "waveform_cache_version": WAVEFORM_CACHE_VERSION}
 
 
 class ResponseCache:
@@ -68,8 +92,8 @@ class ResponseCache:
 
         ``tier`` is ``"memory"`` or ``"disk"``.  A disk hit is promoted into
         the memory tier.  Any unreadable or malformed disk entry — or one
-        stored under another key or API version — counts as corrupt and
-        misses (the next store overwrites it).
+        stored under another key, API version or engine-version stamp —
+        counts as corrupt and misses (the next store overwrites it).
         """
         with self._lock:
             entry = self._memory.get(key)
@@ -83,8 +107,9 @@ class ResponseCache:
 
         def decode(entry) -> dict:
             if not isinstance(entry, dict) or entry.get("request_key") != key \
-                    or entry.get("api_version", API_VERSION) != API_VERSION:
-                raise ValueError("malformed response-cache entry")
+                    or entry.get("api_version", API_VERSION) != API_VERSION \
+                    or entry.pop(STAMP_FIELD, None) != engine_versions():
+                raise ValueError("malformed or stale response-cache entry")
             return entry
 
         entry = self._disk.read(key, decode)
@@ -102,7 +127,7 @@ class ResponseCache:
             self._remember(key, entry)
             self.stores += 1
         if self._disk is not None:
-            self._disk.write(key, entry)
+            self._disk.write(key, {**entry, STAMP_FIELD: engine_versions()})
 
     def _remember(self, key: str, entry: dict) -> None:
         """Insert into the LRU tier, evicting the least recent past capacity."""

@@ -22,7 +22,7 @@ from repro.sweep.cache import MeasureCache
 
 #: Schema/semantics version of the cached payloads; bump on any change to
 #: what the cached measures mean — old entries then miss and are recomputed.
-DIGITAL_CACHE_VERSION = 1
+DIGITAL_CACHE_VERSION = 2
 
 
 class DigitalIfCache(MeasureCache):

@@ -29,8 +29,11 @@ import hashlib
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +42,11 @@ from repro.api import MixerService, SpecRequest
 from repro.api.progress import progress_scope
 from repro.api.registry import default_registry
 from repro.api.request import API_VERSION, build_result_response
-from repro.api.response_cache import ResponseCache
+from repro.api.response_cache import (
+    STAMP_FIELD,
+    ResponseCache,
+    engine_versions,
+)
 from repro.core.config import MixerDesign, MixerMode
 from repro.core.transconductance import sizing_solve_count
 from repro.digital import DigitalIfCache, DigitalIfRunner, digital_if_plan
@@ -226,9 +233,13 @@ class TestShardedRunner:
 
 # -- the stores ---------------------------------------------------------------
 
-#: Each store's healthy entry, written at the commit before the stores
-#: shared one read/write path: ``(file name, bytes)``.  The response entry
-#: is pinned by SHA-256 (it embeds the whole Table I payload).
+#: Each store's healthy entry: ``(file name, bytes)``.  The spec entry is
+#: as written before the stores shared one read/write path.  The waveform
+#: and digital entries were regenerated when the IF filter moved to the
+#: numpy scan (measures moved at the rounding level, versions 1 -> 2), and
+#: the response entry when it gained its engine-version stamp.  The
+#: response entry is pinned by SHA-256 (it embeds the whole Table I
+#: payload).
 FORMAT_PINS = {
     "spec": (
         "80ce985c09c809237af1f6693222da09c6e0e1f52c40a913d6671c2e298cfe40"
@@ -241,31 +252,31 @@ FORMAT_PINS = {
         b'7531909389748, "peak_gain_db": 30.355809541976054, "power_mw": 9.3'
         b'59999999999998, "white_nf_db": 7.126899305411265}}'),
     "waveform": (
-        "8a5fbfc63e9ef019e7f2c5bc94cd7232b9354ce1bc41eae7ae2aee95beceb7b5"
+        "52589550944d1cf6c1fcb4c30d79996c0207882b8d0a9c80933b4f056abb92d0"
         ".json",
         b'{"design_fingerprint": "2e392a2732c1064469647948dbdde1e4785fffe024'
         b'12f2f86ac2e652f6a09f6b", "measures": {"fundamental_dbm": [-14.5149'
-        b'3927796748, -4.519958519899905], "im2_dbm": [-126.41073822230385, '
-        b'-106.41260468374642], "im3_dbm": [-108.21352685113933, -77.4281630'
-        b'6817349]}, "mode": "passive", "plan": "bf0ce1bcdc6c9ce97bc626511ce'
-        b'2cbf1b00143705891c1fb14c6c16658bc354f", "waveform_cache_version": '
-        b'1}'),
+        b'39277967486, -4.519958519899909], "im2_dbm": [-126.41073822216897,'
+        b' -106.41260468372391], "im3_dbm": [-108.21352685113908, -77.428163'
+        b'06817205]}, "mode": "passive", "plan": "bf0ce1bcdc6c9ce97bc626511c'
+        b'e2cbf1b00143705891c1fb14c6c16658bc354f", "waveform_cache_version":'
+        b' 2}'),
     "digital": (
-        "97f99da4211c2accccefb447bc6d6971091c6a227f597ee398be6aaa2a74d51e"
+        "268aa3b3108a18a046bf1f2912206ce76c135b6d1fafc406a93f88b6347f0f84"
         ".json",
         b'{"design_fingerprint": "2e392a2732c1064469647948dbdde1e4785fffe024'
-        b'12f2f86ac2e652f6a09f6b", "digital_cache_version": 1, "measures": {'
-        b'"float_error_peak": [0.008336158871184432, 0.000430959835718057], '
-        b'"noise_dbfs": [-40.313377546217524, -62.42105927896312], "noise_db'
-        b'm": [-28.375177286056395, -50.482859018801996], "overflow_fraction'
-        b'": [0.0, 0.0], "signal_dbfs": [-4.8931632066851884, -4.95040892434'
-        b'2978], "snr_db": [35.420214339532336, 57.47065035462014]}, "mode":'
-        b' "active", "plan": "38c0a5fd6bb09042b8182a88e0363083d348f537737ad8'
-        b'b573596b8497e94a65"}'),
+        b'12f2f86ac2e652f6a09f6b", "digital_cache_version": 2, "measures": {'
+        b'"float_error_peak": [0.008336158871079682, 0.00043095983569521444]'
+        b', "noise_dbfs": [-40.313377546217524, -62.42105927896312], "noise_'
+        b'dbm": [-28.375177286056395, -50.482859018801996], "overflow_fracti'
+        b'on": [0.0, 0.0], "signal_dbfs": [-4.8931632066851884, -4.950408924'
+        b'342978], "snr_db": [35.420214339532336, 57.47065035462014]}, "mode'
+        b'": "active", "plan": "38c0a5fd6bb09042b8182a88e0363083d348f537737a'
+        b'd8b573596b8497e94a65"}'),
     "response": (
         "78ed8b46f441130110a0d7ea8fce5593cf5e6419ac8d3ddc01060ad9dfa49199"
         ".json",
-        "bcaf82d418ec1d71c0447764fd26f0c3b7e01d34cbf94f50a36809a040444cd7"),
+        "2e0dc6c3804bec00ce904ec099e85505888ab848ca5693c132de560f8590f2f5"),
 }
 
 
@@ -432,3 +443,57 @@ class TestServiceSurvivesTornEntries:
         assert service.response_cache.stats()["corrupt"] == 1
         assert json.loads(entry.read_text(encoding="utf-8"))["api_version"] \
             == API_VERSION
+
+    @pytest.mark.parametrize("older", [
+        None, "waveform_cache_version", "digital_cache_version",
+        "cache_version"], ids=["missing", "waveform", "digital", "spec"])
+    def test_response_under_other_engine_versions_is_recomputed(
+            self, tmp_path, reference, older):
+        stamp = None
+        if older is not None:
+            stamp = engine_versions()
+            stamp[older] -= 1
+        MixerService(response_cache=tmp_path).submit(SpecRequest("table1"))
+        (entry,) = tmp_path.glob("*.json")
+        payload = json.loads(entry.read_text(encoding="utf-8"))
+        assert payload[STAMP_FIELD] == engine_versions()
+        # A well-formed entry whose numbers differ, as an older engine's
+        # would: served, it would be caught by the comparison below.
+        payload["result"] = _nudged(payload["result"])
+        del payload[STAMP_FIELD]
+        if stamp is not None:
+            payload[STAMP_FIELD] = stamp
+        entry.write_text(json.dumps(payload), encoding="utf-8")
+
+        service = MixerService(response_cache=tmp_path)
+        response = service.submit(SpecRequest("table1"))
+        assert response.result_payload == reference
+        assert not response.cached
+        assert service.response_cache.stats()["corrupt"] == 1
+        rewritten = json.loads(entry.read_text(encoding="utf-8"))
+        assert rewritten[STAMP_FIELD] == engine_versions()
+        again = MixerService(response_cache=tmp_path).submit(
+            SpecRequest("table1"))
+        assert again.cached and again.result_payload == reference
+
+
+@pytest.mark.parametrize("package", ["repro.api", "repro.sweep",
+                                     "repro.waveform", "repro.digital"])
+def test_each_engine_package_imports_first(package):
+    """The response cache reads every engine's version, and every engine
+    package imports the API package: no import order may be circular."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    subprocess.run([sys.executable, "-c", f"import {package}"],
+                   env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+                   timeout=120)
+
+
+def _nudged(value):
+    """``value`` with every float in it moved slightly."""
+    if isinstance(value, float):
+        return value * (1.0 + 1e-6) + 1e-6
+    if isinstance(value, dict):
+        return {key: _nudged(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_nudged(item) for item in value]
+    return value
